@@ -31,24 +31,12 @@ from .prox import (
 )
 from .solver import (
     IterateRecord,
-    IterateState,
     LinesearchError,
     SolveResult,
     SolverConfig,
     SolverError,
-    armijo_backtrack,
-    eval_h_gamma,
     minimize,
-    proximal_target,
-    solver_step,
 )
-from .strategies import (
-    DiagonalMetric,
-    bb_steplength,
-    make_metric_strategy,
-    make_steplength_strategy,
-    reduced_gradient,
-    ritz_steplengths,
-)
+from .strategies import DiagonalMetric
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ failure, 5 verification/audit failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, pgm
-from .config import ConfigError, build_problem, load_experiment
+from .config import ConfigError, build_problem, deblur_data, load_experiment
 from .operators import (
     ConvOperator2D,
     ForwardDifference2D,
@@ -45,31 +46,31 @@ EXIT_SOLVER = 4
 EXIT_CHECK = 5
 
 TRACE_VERSION = "vmprox-trace-v1"
-TRACE_COLUMNS = (
-    "k",
-    "f_value",
-    "alpha",
-    "lambda",
-    "backtracks",
-    "step_norm",
-    "dist_tilde",
-    "h_gamma",
-    "epsilon_k",
-    "inner_iters",
-    "chose_tilde",
-    "f_tilde",
-    "f_linesearch",
-    "f_next",
-    "flags",
+# (column, IterateRecord attribute, type); integers are written as such
+# (``chose_tilde`` as 0/1), floats through ``repr`` so they read back exactly.
+TRACE_FIELDS = (
+    ("k", "k", int),
+    ("f_value", "f_value", float),
+    ("alpha", "alpha", float),
+    ("lambda", "lam", float),
+    ("backtracks", "backtracks", int),
+    ("step_norm", "step_norm", float),
+    ("dist_tilde", "dist_tilde", float),
+    ("h_gamma", "h_gamma", float),
+    ("epsilon_k", "epsilon_k", float),
+    ("inner_iters", "inner_iters", int),
+    ("chose_tilde", "chose_tilde", int),
+    ("f_tilde", "f_tilde", float),
+    ("f_linesearch", "f_linesearch", float),
+    ("f_next", "f_next", float),
+    ("flags", "flags", int),
 )
+TRACE_COLUMNS = tuple(column for column, _, _ in TRACE_FIELDS)
+_TRACE_TYPES = {column: kind for column, _, kind in TRACE_FIELDS}
 
 
-def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _fmt(value, kind):
+    return str(int(value)) if kind is int else repr(float(value))
 
 
 def write_trace(path, trace):
@@ -77,26 +78,7 @@ def write_trace(path, trace):
     lines = [f"# {TRACE_VERSION}", ",".join(TRACE_COLUMNS)]
     for r in trace:
         lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.k,
-                    r.f_value,
-                    r.alpha,
-                    r.lam,
-                    r.backtracks,
-                    r.step_norm,
-                    r.dist_tilde,
-                    r.h_gamma,
-                    r.epsilon_k,
-                    r.inner_iters,
-                    r.chose_tilde,
-                    r.f_tilde,
-                    r.f_linesearch,
-                    r.f_next,
-                    r.flags,
-                )
-            )
+            ",".join(_fmt(getattr(r, attr), kind) for _, attr, kind in TRACE_FIELDS)
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -110,13 +92,8 @@ def read_trace(path):
     rows = []
     for line in lines[2:]:
         parts = line.split(",")
-        row = {}
-        for name, text in zip(header, parts):
-            if name in ("k", "backtracks", "inner_iters", "chose_tilde", "flags"):
-                row[name] = int(text)
-            else:
-                row[name] = float(text)
-        rows.append(row)
+        rows.append({name: _TRACE_TYPES.get(name, float)(text)
+                     for name, text in zip(header, parts)})
     return rows
 
 
@@ -165,25 +142,25 @@ def _psnr_or_none(x, x_true):
     return float(value) if np.isfinite(value) else None
 
 
+def _input_failure(exc):
+    """Report a missing input or an invalid config; returns the exit code."""
+    if isinstance(exc, FileNotFoundError):
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    print(f"config error: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def cmd_solve(args):
     try:
         cfg = load_experiment(args.config)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (FileNotFoundError, ConfigError) as exc:
+        return _input_failure(exc)
 
     if args.seed is not None:
         cfg.seed = args.seed
-        cfg.solver = SolverConfig(
-            **{**_solver_kwargs(cfg.solver), "rng_seed": args.seed}
-        )
     if args.max_iters is not None:
-        cfg.solver = SolverConfig(
-            **{**_solver_kwargs(cfg.solver), "max_outer_iters": args.max_iters}
-        )
+        cfg.solver = dataclasses.replace(cfg.solver, max_outer_iters=args.max_iters)
     if args.audit:
         cfg.audit = True
     if args.trace is not None:
@@ -192,12 +169,8 @@ def cmd_solve(args):
     base_dir = Path(args.config).resolve().parent
     try:
         problem, x_true, observed, x0, shape = build_problem(cfg, base_dir)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (FileNotFoundError, ValueError) as exc:
+        return _input_failure(exc)
 
     t0 = time.perf_counter()
     try:
@@ -252,31 +225,11 @@ def _resolve(path, base_dir):
     return p if p.is_absolute() else Path(base_dir) / p
 
 
-def _solver_kwargs(solver):
-    return {
-        "alpha_min": solver.alpha_min,
-        "alpha_max": solver.alpha_max,
-        "mu": solver.mu,
-        "delta": solver.delta,
-        "beta": solver.beta,
-        "gamma": solver.gamma,
-        "tau": solver.tau,
-        "max_outer_iters": solver.max_outer_iters,
-        "max_backtracks": solver.max_backtracks,
-        "stop_tol": solver.stop_tol,
-        "rng_seed": solver.rng_seed,
-    }
-
-
 def cmd_degrade(args):
     try:
         cfg = load_experiment(args.config)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (FileNotFoundError, ConfigError) as exc:
+        return _input_failure(exc)
     kind = cfg.problem["kind"]
     if kind not in ("gaussian_sd", "cauchy"):
         print(f"config error: cannot degrade for kind {kind!r}", file=sys.stderr)
@@ -285,29 +238,14 @@ def cmd_degrade(args):
         print("config error: output.observed path required", file=sys.stderr)
         return EXIT_CONFIG
     base_dir = Path(args.config).resolve().parent
-    seed = args.seed if args.seed is not None else cfg.seed
-    p = cfg.problem
-    from .config import _load_base_image
-
+    if args.seed is not None:
+        cfg.seed = args.seed
+    # degrade synthesizes data even when the config names an observed input
+    cfg.problem.pop("observed", None)
     try:
-        truth = _load_base_image(p.get("image"), p.get("size"), base_dir)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    H = ConvOperator2D(
-        gaussian_psf(p.get("psf_size", 9), p.get("psf_sigma", 1.0)), truth.shape
-    )
-    observed = degrade_synthetic(
-        truth.ravel(),
-        H,
-        kind,
-        seed,
-        a=p.get("a", 1.0),
-        b=p.get("b", 1.0),
-        gamma_noise=p.get("gamma_noise", 0.02),
-    )
-    if p.get("clip_observed", False):
-        observed = np.clip(observed, 0.0, 1.0)
+        truth, _, observed = deblur_data(cfg, base_dir)
+    except (FileNotFoundError, ValueError) as exc:
+        return _input_failure(exc)
     out = _resolve(cfg.output["observed"], base_dir)
     try:
         pgm.write_image(out, observed.reshape(truth.shape))

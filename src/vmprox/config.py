@@ -25,7 +25,8 @@ from .problems import (
 )
 from .solver import SolverConfig
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_experiment", "build_problem"]
+__all__ = ["ConfigError", "ExperimentConfig", "load_experiment", "deblur_data",
+           "build_problem"]
 
 PROBLEM_KINDS = ("gaussian_sd", "cauchy", "compression", "toy1d")
 METRICS = ("identity", "sg", "majorant")
@@ -95,6 +96,13 @@ def _check_keys(section, mapping, allowed):
             raise ConfigError(f"{section}.{key} must be {want.__name__}")
 
 
+def _section(raw, name):
+    value = raw.get(name, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{name}' section must be a mapping")
+    return dict(value)
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description."""
@@ -119,7 +127,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown top-level keys: {', '.join(unknown)}")
         if "problem" not in raw:
             raise ConfigError("missing 'problem' section")
-        problem = dict(raw["problem"])
+        problem = _section(raw, "problem")
         _check_keys("problem", problem, _PROBLEM_KEYS)
         kind = problem.get("kind")
         if kind not in PROBLEM_KINDS:
@@ -130,7 +138,7 @@ class ExperimentConfig:
                     or any(not isinstance(v, int) or v < 1 for v in size)):
                 raise ConfigError("problem.size must be two positive integers")
 
-        solver_raw = dict(raw.get("solver", {}))
+        solver_raw = _section(raw, "solver")
         _check_keys("solver", solver_raw, _SOLVER_KEYS)
         metric = solver_raw.pop("metric", "identity")
         steplength = solver_raw.pop("steplength", "bb")
@@ -147,10 +155,10 @@ class ExperimentConfig:
         audit = raw.get("audit", False)
         if not isinstance(audit, bool):
             raise ConfigError("audit must be a boolean")
-        output = dict(raw.get("output", {}))
+        output = _section(raw, "output")
         _check_keys("output", output, _OUTPUT_KEYS)
         try:
-            solver = SolverConfig(rng_seed=seed, **solver_raw)
+            solver = SolverConfig(**solver_raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid solver settings: {exc}") from exc
         return cls(
@@ -179,17 +187,19 @@ def load_experiment(path):
     return ExperimentConfig.from_dict(raw)
 
 
+_SYNTHETIC_IMAGES = {
+    "synthetic:cartoon": cartoon_image,
+    "synthetic:smooth": smooth_image,
+}
+
+
 def _load_base_image(spec, size, base_dir):
-    if spec is None or spec == "synthetic:cartoon":
+    spec = "synthetic:cartoon" if spec is None else spec
+    if spec in _SYNTHETIC_IMAGES:
         if size is None:
             raise ConfigError("problem.size required for synthetic images")
         shape = (int(size[0]), int(size[1]))
-        return cartoon_image(shape).reshape(shape)
-    if spec == "synthetic:smooth":
-        if size is None:
-            raise ConfigError("problem.size required for synthetic images")
-        shape = (int(size[0]), int(size[1]))
-        return smooth_image(shape).reshape(shape)
+        return _SYNTHETIC_IMAGES[spec](shape).reshape(shape)
     path = Path(spec)
     if not path.is_absolute():
         path = Path(base_dir) / path
@@ -198,6 +208,40 @@ def _load_base_image(spec, size, base_dir):
     if hi > lo:
         img = (img - lo) / (hi - lo)
     return img
+
+
+def deblur_data(cfg: ExperimentConfig, base_dir="."):
+    """Ground truth, blur operator and observed data of a deblurring config.
+
+    The observation is read from ``problem.observed`` when the config names
+    one and is synthesized from the truth with seed ``cfg.seed`` otherwise;
+    ``clip_observed`` clips it into [0, 1].  Returns ``(truth, H, observed)``
+    with a 2-D ``truth`` and a flat ``observed``.
+    """
+    p = cfg.problem
+    truth = _load_base_image(p.get("image"), p.get("size"), base_dir)
+    H = ConvOperator2D(
+        gaussian_psf(p.get("psf_size", 9), p.get("psf_sigma", 1.0)), truth.shape
+    )
+    observed_spec = p.get("observed")
+    if observed_spec is not None:
+        path = Path(observed_spec)
+        if not path.is_absolute():
+            path = Path(base_dir) / path
+        observed = pgm.read_image(path).ravel()
+    else:
+        observed = degrade_synthetic(
+            truth.ravel(),
+            H,
+            p["kind"],
+            cfg.seed,
+            a=p.get("a", 1.0),
+            b=p.get("b", 1.0),
+            gamma_noise=p.get("gamma_noise", 0.02),
+        )
+    if p.get("clip_observed", False):
+        observed = np.clip(observed, 0.0, 1.0)
+    return truth, H, observed
 
 
 def build_problem(cfg: ExperimentConfig, base_dir="."):
@@ -213,10 +257,9 @@ def build_problem(cfg: ExperimentConfig, base_dir="."):
         x0 = np.array([p.get("x0_value", 0.0)])
         return problem, None, None, x0, (1, 1)
 
-    truth = _load_base_image(p.get("image"), p.get("size"), base_dir)
-    shape = truth.shape
-
     if kind == "compression":
+        truth = _load_base_image(p.get("image"), p.get("size"), base_dir)
+        shape = truth.shape
         problem = MaskCompressionProblem(
             truth.ravel(),
             shape,
@@ -226,29 +269,10 @@ def build_problem(cfg: ExperimentConfig, base_dir="."):
         x0 = np.full(problem.n, p.get("x0_value", 1.0))
         return problem, truth.ravel(), None, x0, shape
 
-    psf = gaussian_psf(p.get("psf_size", 9), p.get("psf_sigma", 1.0))
-    H = ConvOperator2D(psf, shape)
-    observed_spec = p.get("observed")
-    if observed_spec is not None:
-        path = Path(observed_spec)
-        if not path.is_absolute():
-            path = Path(base_dir) / path
-        observed = pgm.read_image(path).ravel()
-        x_true = truth.ravel() if p.get("image") else None
-    else:
-        observed = degrade_synthetic(
-            truth.ravel(),
-            H,
-            kind,
-            cfg.seed,
-            a=p.get("a", 1.0),
-            b=p.get("b", 1.0),
-            gamma_noise=p.get("gamma_noise", 0.02),
-        )
-        x_true = truth.ravel()
-    if p.get("clip_observed", False):
-        observed = np.clip(observed, 0.0, 1.0)
-
+    truth, H, observed = deblur_data(cfg, base_dir)
+    shape = truth.shape
+    # observed data supplied without an image has no ground truth
+    x_true = truth.ravel() if p.get("image") or p.get("observed") is None else None
     if kind == "gaussian_sd":
         problem = SignalDependentGaussianProblem(
             H,

@@ -97,8 +97,6 @@ class AuditReport:
     violation_counts: dict
     violations: list = field(default_factory=list)
     epsilon: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    zeta_proxy: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    eta_observed: np.ndarray = field(default_factory=lambda: np.zeros(0))
     lambda_min_observed: float = float("nan")
     a_empirical: float = float("nan")
 
@@ -137,7 +135,6 @@ def audit_trace(trace, config):
     counts = {name: 0 for name in AUDIT_NAMES}
     violations = []
     eps = []
-    eta_obs = []
     lam_min = np.inf
     for rec in trace:
         for name in _REQUIRED_FIELDS:
@@ -148,15 +145,8 @@ def audit_trace(trace, config):
                 counts[name] += 1
                 violations.append((rec.k, name))
         eps.append(rec.epsilon_k)
-        eta_obs.append(max(rec.f_tilde - rec.f_value, 0.0))
         lam_min = min(lam_min, rec.lam)
 
-    eps = np.asarray(eps)
-    zeta_proxy = (
-        np.sqrt(2.0 * config.mu**3 * config.alpha_max)
-        / config.alpha_min
-        * np.sqrt(eps)
-    )
     a_emp = float("nan")
     if np.isfinite(lam_min):
         a_emp = config.beta * lam_min / (
@@ -166,9 +156,7 @@ def audit_trace(trace, config):
         n_iterations=len(trace),
         violation_counts=counts,
         violations=violations,
-        epsilon=eps,
-        zeta_proxy=zeta_proxy,
-        eta_observed=np.asarray(eta_obs),
+        epsilon=np.asarray(eps),
         lambda_min_observed=float(lam_min) if np.isfinite(lam_min) else float("nan"),
         a_empirical=a_emp,
     )
@@ -251,16 +239,23 @@ def _box_prox_reference(z, alpha, metric, lower, upper, iters):
     start = min(max(0.0, lower), upper)
     y = np.full_like(z, start)
     for _ in range(iters):
-        y = np.clip(y - step * d * (y - z) / alpha, lower, upper)
+        y_next = np.clip(y - step * d * (y - z) / alpha, lower, upper)
+        if np.array_equal(y_next, y):  # exact fixed point: later steps repeat it
+            break
+        y = y_next
     return y
 
 
 def _tv_prox_reference(z, alpha, metric, reg, iters):
-    # Lifted splitting t = Ay solved by a long ADMM run: the y-subproblem is
-    # a dense SPD solve (factorized once), the t-update is groupwise
-    # shrinkage plus a nonnegative clip, both closed form.  The stacked
-    # operator is materialized; the oracle is restricted to tiny instances.
+    # Lifted splitting t = Ay solved by ADMM: the y-subproblem is a dense SPD
+    # solve (factorized once), the t-update is groupwise shrinkage plus a
+    # nonnegative clip, both closed form.  The run stops once the primal
+    # residual Ay - t and the dual residual sigma A^T (t - t_prev) fall below
+    # absolute-plus-relative tolerances ``eps`` (Boyd et al. 2011, sec. 3.3),
+    # or after ``iters`` iterations.  The stacked operator is materialized; the
+    # oracle is restricted to tiny instances.
     n = reg.n
+    p = reg.A.n_out
     d = metric.diag
     eye = np.eye(n)
     A_mat = np.column_stack([reg.A.apply(eye[:, j]) for j in range(n)])
@@ -269,13 +264,15 @@ def _tv_prox_reference(z, alpha, metric, reg, iters):
     cho = scipy.linalg.cho_factor(M)
     thresh = reg.rho / sigma
     base_rhs = d * z / alpha
+    eps = 1e-14
 
-    t = np.zeros(reg.A.n_out)
-    u = np.zeros(reg.A.n_out)
+    t = np.zeros(p)
+    u = np.zeros(p)
     y = np.zeros(n)
     for _ in range(iters):
         y = scipy.linalg.cho_solve(cho, base_rhs + sigma * (A_mat.T @ (t - u)))
-        w = A_mat @ y + u
+        Ay = A_mat @ y
+        w = Ay + u
         pairs = w[: 2 * n].reshape(n, 2)
         norms = np.hypot(pairs[:, 0], pairs[:, 1])
         scale = np.maximum(0.0, 1.0 - thresh / np.maximum(norms, 1e-300))
@@ -283,16 +280,22 @@ def _tv_prox_reference(z, alpha, metric, reg, iters):
         t_new[: 2 * n] = (pairs * scale[:, None]).ravel()
         t_new[2 * n :] = np.maximum(w[2 * n :], 0.0)
         u = w - t_new
+        r_pri = np.linalg.norm(Ay - t_new)
+        r_dual = sigma * np.linalg.norm(A_mat.T @ (t_new - t))
         t = t_new
+        tol_pri = eps * (np.sqrt(p) + max(np.linalg.norm(Ay), np.linalg.norm(t)))
+        tol_dual = eps * (np.sqrt(n) + sigma * np.linalg.norm(A_mat.T @ u))
+        if r_pri <= tol_pri and r_dual <= tol_dual:
+            break
     return reg.project_domain(y)
 
 
 def dense_prox_oracle(z, alpha, metric, regularizer, iters=100_000):
     """Reference minimizer of the scaled proximal subproblem on tiny inputs.
 
-    Runs a long splitting iteration with closed-form pieces, independent of
-    the dual-ascent solver it is used to check.  ``regularizer`` may be a
-    :class:`~vmprox.prox.BoxProx`, a
+    Runs a splitting iteration with closed-form pieces, independent of the
+    dual-ascent solver it is used to check, for at most ``iters`` steps.
+    ``regularizer`` may be a :class:`~vmprox.prox.BoxProx`, a
     :class:`~vmprox.prox.TVNonnegRegularizer`, or ``None`` (no regularizer,
     the minimizer is ``z`` itself).  Restricted to small sizes.
     """

@@ -90,10 +90,10 @@ def read_image(path):
     raise ValueError(f"unsupported image format: {path}")
 
 
-def write_image(path, img, bits=16):
+def write_image(path, img):
     path = str(path)
     if path.endswith(".pgm"):
-        write_pgm(path, img, bits=bits)
+        write_pgm(path, img)
     elif path.endswith(".f64"):
         write_raw_f64(path, img)
     else:

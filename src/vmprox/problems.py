@@ -20,6 +20,7 @@ __all__ = [
     "DomainError",
     "LinearSolveError",
     "Problem",
+    "DeblurProblem",
     "SignalDependentGaussianProblem",
     "CauchyDeblurProblem",
     "MaskCompressionProblem",
@@ -72,7 +73,41 @@ class Problem:
         raise NotImplementedError
 
 
-class SignalDependentGaussianProblem(Problem):
+def _finite(name, values):
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} has non-finite entries")
+    return values
+
+
+class DeblurProblem(Problem):
+    """Shared set-up of the deblurring models: blur ``H``, observed image
+    ``g`` and a ``rho``-weighted TV plus nonnegativity regularizer handled by
+    the inexact dual prox."""
+
+    def __init__(self, H: LinearOperator, g, shape, rho, inner_limit, warm_start):
+        h, w = shape
+        self.n = h * w
+        self.shape = (h, w)
+        self.H = H
+        self.g = _finite("g", np.asarray(g, dtype=float).ravel())
+        if self.g.size != self.n:
+            raise ValueError("observed image size mismatch")
+        self.reg = TVNonnegRegularizer(shape, rho)
+        self.prox = DualTVProx(self.reg, inner_limit=inner_limit,
+                               warm_start=warm_start)
+        self._h_norm_sq = None
+
+    def active_mask(self, x):
+        return np.asarray(x) == 0.0
+
+    @property
+    def h_norm_sq(self):
+        if self._h_norm_sq is None:
+            self._h_norm_sq = self.H.norm_sq_bound()
+        return self._h_norm_sq
+
+
+class SignalDependentGaussianProblem(DeblurProblem):
     """Deconvolution under Gaussian noise whose variance is affine in the
     blurred intensity.
 
@@ -85,24 +120,13 @@ class SignalDependentGaussianProblem(Problem):
 
     def __init__(self, H: LinearOperator, g, shape, a=1.0, b=1.0, rho=0.03,
                  inner_limit=5000, warm_start=True):
-        h, w = shape
-        self.n = h * w
-        self.shape = (h, w)
-        self.H = H
-        self.g = np.asarray(g, dtype=float).ravel()
-        if self.g.size != self.n:
-            raise ValueError("observed image size mismatch")
-        self.a = np.broadcast_to(np.asarray(a, dtype=float), (self.n,)).copy()
-        self.b = np.broadcast_to(np.asarray(b, dtype=float), (self.n,)).copy()
+        super().__init__(H, g, shape, rho, inner_limit, warm_start)
+        self.a = _finite("a", np.full(self.n, a, dtype=float))
+        self.b = _finite("b", np.full(self.n, b, dtype=float))
         if np.any(self.a < 0):
             raise ValueError("a must be nonnegative")
         if np.any(self.b <= 0):
             raise ValueError("b must be positive")
-        self.rho = float(rho)
-        self.reg = TVNonnegRegularizer(shape, rho)
-        self.prox = DualTVProx(self.reg, inner_limit=inner_limit,
-                               warm_start=warm_start)
-        self._h_norm_sq = None
 
     def _variance(self, t):
         c = self.a * t + self.b
@@ -123,15 +147,6 @@ class SignalDependentGaussianProblem(Problem):
         q = r / c - 0.5 * self.a * r * r / (c * c) + 0.5 * self.a / c
         return self.H.adjoint(q)
 
-    def active_mask(self, x):
-        return np.asarray(x) == 0.0
-
-    @property
-    def h_norm_sq(self):
-        if self._h_norm_sq is None:
-            self._h_norm_sq = self.H.norm_sq_bound()
-        return self._h_norm_sq
-
     def curvature_bound(self):
         """Bound on the per-component second derivative of the misfit, valid
         on the nonnegative blurred range."""
@@ -140,7 +155,7 @@ class SignalDependentGaussianProblem(Problem):
         return float(np.max(np.maximum(pos, neg)))
 
 
-class CauchyDeblurProblem(Problem):
+class CauchyDeblurProblem(DeblurProblem):
     """Deblurring under additive Cauchy noise.
 
     The misfit is ``(lambda/2) * sum_i log(gamma^2 + ((Hx)_i - g_i)^2)``
@@ -154,19 +169,9 @@ class CauchyDeblurProblem(Problem):
                  lambda_reg=0.35, inner_limit=5000, warm_start=True):
         if gamma_noise <= 0:
             raise ValueError("gamma_noise must be positive")
-        h, w = shape
-        self.n = h * w
-        self.shape = (h, w)
-        self.H = H
-        self.g = np.asarray(g, dtype=float).ravel()
-        if self.g.size != self.n:
-            raise ValueError("observed image size mismatch")
+        super().__init__(H, g, shape, 1.0, inner_limit, warm_start)
         self.gamma_noise = float(gamma_noise)
         self.lambda_reg = float(lambda_reg)
-        self.reg = TVNonnegRegularizer(shape, rho=1.0)
-        self.prox = DualTVProx(self.reg, inner_limit=inner_limit,
-                               warm_start=warm_start)
-        self._h_norm_sq = None
 
     def f0(self, x):
         r = self.H.apply(x) - self.g
@@ -179,15 +184,6 @@ class CauchyDeblurProblem(Problem):
         return self.lambda_reg * self.H.adjoint(
             r / (self.gamma_noise**2 + r * r)
         )
-
-    def active_mask(self, x):
-        return np.asarray(x) == 0.0
-
-    @property
-    def h_norm_sq(self):
-        if self._h_norm_sq is None:
-            self._h_norm_sq = self.H.norm_sq_bound()
-        return self._h_norm_sq
 
     def curvature_bound(self):
         return self.lambda_reg / self.gamma_noise**2
@@ -213,7 +209,7 @@ class MaskCompressionProblem(Problem):
         h, w = shape
         self.n = h * w
         self.shape = (h, w)
-        self.u0 = np.asarray(u0, dtype=float).ravel()
+        self.u0 = _finite("u0", np.asarray(u0, dtype=float).ravel())
         if self.u0.size != self.n:
             raise ValueError("image size mismatch")
         self.lambda_reg = float(lambda_reg)

@@ -23,8 +23,6 @@ __all__ = [
     "DualTVProx",
     "exact_prox_box",
     "project_dual_tv",
-    "dual_objective",
-    "primal_from_dual",
 ]
 
 
@@ -80,9 +78,7 @@ def project_dual_tv(v, rho, n):
     out = v.copy()
     pairs = out[: 2 * n].reshape(n, 2)
     norms = np.hypot(pairs[:, 0], pairs[:, 1])
-    over = norms > rho
-    if np.any(over):
-        pairs[over] *= (rho / norms[over])[:, None]
+    pairs *= np.divide(rho, norms, out=np.ones_like(norms), where=norms > rho)[:, None]
     np.minimum(out[2 * n :], 0.0, out=out[2 * n :])
     return out
 
@@ -96,7 +92,7 @@ class TVNonnegRegularizer:
     the domain projection.
     """
 
-    def __init__(self, shape, rho, norm_bound_iters=50):
+    def __init__(self, shape, rho):
         h, w = shape
         if rho < 0:
             raise ValueError("rho must be nonnegative")
@@ -105,7 +101,7 @@ class TVNonnegRegularizer:
         self.rho = float(rho)
         self.fd = ForwardDifference2D(shape)
         self.A = VStackOperator([self.fd, IdentityOperator(self.n)])
-        self.norm_A_sq = self.A.norm_sq_bound(iters=norm_bound_iters)
+        self.norm_A_sq = self.A.norm_sq_bound()
 
     def tv(self, x):
         return isotropic_tv(x, self.shape)
@@ -124,39 +120,6 @@ class TVNonnegRegularizer:
 
     def project_conjugate(self, v):
         return project_dual_tv(v, self.rho, self.n)
-
-    def g_conjugate(self, v):
-        # Support function of the conjugate-domain product evaluated inside
-        # that domain: identically zero (coded as a constant, not a limit).
-        return 0.0
-
-
-def primal_from_dual(v, z, alpha, metric, regularizer):
-    """Candidate primal point ``P_dom(z - alpha D^{-1} A^T v)``.
-
-    The projection onto the (closed) domain of ``f1`` keeps the primal merit
-    finite at every inner iterate.
-    """
-    atv = regularizer.A.adjoint(v)
-    return regularizer.project_domain(z - alpha * atv / metric.diag)
-
-
-def dual_objective(v, x, grad, f1_x, alpha, metric, regularizer):
-    """Dual objective of the scaled proximal subproblem at ``v``.
-
-    ``v`` must already lie in the conjugate domain (project it first);
-    outside that domain the value would be minus infinity.
-    """
-    d = metric.diag
-    z = x - alpha * grad / d
-    atv = regularizer.A.adjoint(v)
-    w = alpha * atv / d - z
-    val = -0.5 / alpha * float(np.dot(d * w, w))
-    val -= regularizer.g_conjugate(v)
-    val -= f1_x
-    val -= 0.5 * alpha * float(np.dot(grad / d, grad))
-    val += 0.5 / alpha * float(np.dot(d * z, z))
-    return val
 
 
 class BoxProx:
@@ -207,9 +170,8 @@ class DualTVProx:
 
     The inner solver is accelerated projected gradient ascent on the dual
     objective with the Chambolle-Dossal stepsize sequence
-    ``t_l = (l + a - 1) / a`` (``a = 2.1`` by default) and Lipschitz step
-    ``1 / (alpha * max(D^{-1}) * ||A||^2)``.  A plain (non-accelerated)
-    projected gradient fallback is available through ``accelerated=False``.
+    ``t_l = (l + a - 1) / a`` (``a = 2.1``) and Lipschitz step
+    ``1 / (alpha * max(D^{-1}) * ||A||^2)``.
 
     Acceptance takes the first inner iterate whose primal merit value drops
     below ``eta`` times the dual value, ``eta = 1 / (1 + tau/2)``; passing
@@ -220,15 +182,12 @@ class DualTVProx:
 
     is_exact = False
 
-    def __init__(self, regularizer, inner_limit=5000, warm_start=True,
-                 accelerated=True, accel_a=2.1):
+    def __init__(self, regularizer, inner_limit=5000, warm_start=True):
         if inner_limit < 1:
             raise ValueError("inner_limit must be at least 1")
         self.reg = regularizer
         self.inner_limit = int(inner_limit)
         self.warm_start = bool(warm_start)
-        self.accelerated = bool(accelerated)
-        self.accel_a = float(accel_a)
         self._v_prev = None
 
     def reset(self):
@@ -277,31 +236,20 @@ class DualTVProx:
         else:
             v = np.zeros(reg.A.n_out)
 
-        atv = reg.A.adjoint(v)
-        y = reg.project_domain(z - alpha * atv / d)
-        h1, hg = h_parts(y)
-        psi = psi_of(atv)
-        if accepted(h1, psi):
-            if self.warm_start:
-                self._v_prev = v
-            return ProxCertificate(y, v, h1, psi, hg,
-                                   0.5 * tau * max(0.0, -hg), 0)
-
-        a = self.accel_a
+        a = 2.1
         v_old = v
-        for ell in range(1, self.inner_limit + 1):
-            if self.accelerated:
+        for ell in range(self.inner_limit + 1):
+            if ell > 0:
                 t_cur = (ell + a - 1.0) / a
                 t_next = (ell + a) / a
                 beta = (t_cur - 1.0) / t_next
                 u = v + beta * (v - v_old)
-            else:
-                u = v
-            atu = reg.A.adjoint(u)
-            grad_psi = reg.A.apply(z - alpha * atu / d)
-            v_new = reg.project_conjugate(u + step * grad_psi)
-            v_old, v = v, v_new
+                atu = reg.A.adjoint(u)
+                grad_psi = reg.A.apply(z - alpha * atu / d)
+                v_old, v = v, reg.project_conjugate(u + step * grad_psi)
 
+            # Candidate P_dom(z - alpha D^{-1} A^T v): projecting onto the
+            # domain of f1 keeps the primal merit finite at every iterate.
             atv = reg.A.adjoint(v)
             y = reg.project_domain(z - alpha * atv / d)
             h1, hg = h_parts(y)

@@ -68,7 +68,6 @@ class SolverConfig:
     max_outer_iters: int = 500
     max_backtracks: int = 60
     stop_tol: float = 1e-8
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.alpha_min <= self.alpha_max:
@@ -136,9 +135,6 @@ class IterateRecord:
 class SolveResult:
     x: np.ndarray
     trace: list
-
-    def __iter__(self):
-        return iter((self.x, self.trace))
 
 
 def eval_h_gamma(x, state, problem, gamma):
@@ -258,6 +254,8 @@ def solver_step(state, problem, config, metric_strategy, steplength_strategy,
 
 def _initial_state(problem, config, x0):
     x0 = np.asarray(x0, dtype=float).copy()
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 has non-finite entries")
     if not problem.in_domain(x0):
         raise ValueError("x0 is infeasible")
     f1_0 = problem.f1(x0)

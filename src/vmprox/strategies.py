@@ -252,19 +252,16 @@ class RitzSteplengthStrategy:
     The queue is rebuilt from the most recent ``window`` scaled reduced
     gradients whenever it runs empty; before the window fills (and on
     factorization failure) the strategy falls back to the BB1 rule.
-    Consumption order is configurable; smallest-first is the stable default.
+    Steplengths are consumed smallest first.
     """
 
     name = "ritz"
 
-    def __init__(self, alpha_min, alpha_max, window=3, order="smallest_first"):
+    def __init__(self, alpha_min, alpha_max, window=3):
         if window < 1:
             raise ValueError("window must be at least 1")
-        if order not in ("smallest_first", "largest_first"):
-            raise ValueError(f"unknown consumption order {order!r}")
         self.alpha_min = float(alpha_min)
         self.alpha_max = float(alpha_max)
-        self.order = order
         self.memory = SteplengthMemory(window=window)
         self._bb = BBSteplengthStrategy(alpha_min, alpha_max)
 
@@ -278,8 +275,6 @@ class RitzSteplengthStrategy:
             reduced = reduced_gradient(x, grad, problem.active_mask(x))
             steps = ritz_steplengths(list(self.memory.history), metric, reduced)
             if steps is not None:
-                if self.order == "largest_first":
-                    steps = steps[::-1]
                 self.memory.queue.extend(steps)
                 return self._clamp(self.memory.queue.popleft())
             logger.info("Ritz window rank deficient; falling back to BB1")

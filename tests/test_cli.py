@@ -95,6 +95,15 @@ class TestSolve:
         assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
         assert "typo_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "problem: 5\n",
+        "problem:\n  kind: toy1d\nsolver: [1, 2]\n",
+    ])
+    def test_section_not_a_mapping(self, tmp_path, capsys, text):
+        cfg = _write(tmp_path, "bad.yaml", text)
+        assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
+        assert "must be a mapping" in capsys.readouterr().err
+
     def test_invalid_solver_value(self, tmp_path):
         cfg = _write(
             tmp_path,

@@ -68,6 +68,15 @@ class TestSignalDependentGaussian:
                 IdentityOperator(1), np.zeros(1), (1, 1), b=0.0
             )
 
+    @pytest.mark.parametrize("name", ["g", "a", "b"])
+    def test_non_finite_data_rejected(self, name):
+        data = {"g": np.zeros(2), "a": np.ones(2), "b": np.ones(2)}
+        data[name][1] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} has non-finite"):
+            SignalDependentGaussianProblem(
+                IdentityOperator(2), data["g"], (1, 2), a=data["a"], b=data["b"]
+            )
+
     def test_finite_on_nonneg_orthant(self):
         H, truth, g = _deconv_setup()
         p = SignalDependentGaussianProblem(H, g, (8, 8))
@@ -105,6 +114,12 @@ class TestCauchy:
             x = rng.random(64)
             assert fd_gradient_check(p.f0, p.grad_f0, x, h=1e-6, trials=10,
                                      seed=trial) <= 1e-6
+
+    def test_non_finite_observation_rejected(self):
+        H, _, g = _deconv_setup(model="cauchy")
+        g[5] = np.nan
+        with pytest.raises(ValueError, match="^g has non-finite"):
+            CauchyDeblurProblem(H, g, (8, 8))
 
     def test_curvature_bound_dominates_samples(self):
         p = CauchyDeblurProblem(IdentityOperator(1), np.array([0.3]), (1, 1),
@@ -171,6 +186,12 @@ class TestCompression:
         with pytest.raises(LinearSolveError) as ei:
             p.f0(np.full(16, 0.5))
         assert ei.value.residual > 0.0
+
+    def test_non_finite_image_rejected(self):
+        u0 = smooth_image((2, 2))
+        u0[0] = np.inf
+        with pytest.raises(ValueError, match="^u0 has non-finite"):
+            MaskCompressionProblem(u0, (2, 2))
 
     def test_active_mask_rule(self):
         p = MaskCompressionProblem(smooth_image((2, 2)), (2, 2))

@@ -238,6 +238,11 @@ class TestMinimize:
         with pytest.raises(ValueError):
             minimize(p, SolverConfig(), np.array([-3.0]))
 
+    def test_non_finite_start_rejected(self):
+        p = Toy1DBoxProblem()
+        with pytest.raises(ValueError, match="x0 has non-finite entries"):
+            minimize(p, SolverConfig(), np.array([np.nan]))
+
     def test_linesearch_example_converges_to_boundary(self):
         p = Toy1DBoxProblem()
         cfg = SolverConfig(max_outer_iters=50)

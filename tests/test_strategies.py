@@ -272,7 +272,7 @@ def test_factories():
         make_steplength_strategy("fixed", 1e-5, 1e2)
 
 
-def test_ritz_consumption_order_configurable():
+def test_ritz_consumed_smallest_first():
     rng = np.random.default_rng(11)
     B = rng.standard_normal((5, 5))
     Q = B @ B.T + 0.5 * np.eye(5)
@@ -287,17 +287,17 @@ def test_ritz_consumption_order_configurable():
     steps = ritz_steplengths(hist, metric, Q @ x)
     assert steps is not None and len(steps) >= 2
 
-    def drain(order):
-        strat = RitzSteplengthStrategy(1e-10, 1e10, window=3, order=order)
+    def drain():
+        strat = RitzSteplengthStrategy(1e-10, 1e10, window=3)
         for alpha, g in hist:
             strat.memory.push(alpha, g)
         p = _Stub()
         p.active_mask = lambda v: np.zeros_like(v, dtype=bool)
         return [strat.choose(x, Q @ x, metric, p) for _ in range(len(steps))]
 
-    assert drain("smallest_first") == sorted(drain("largest_first"))
-    with pytest.raises(ValueError):
-        RitzSteplengthStrategy(1e-5, 1e2, order="random")
+    drained = drain()
+    assert drained == sorted(drained)
+    assert drained == list(steps)
 
 
 def test_all_emitted_steplengths_clamped():
