@@ -4,10 +4,8 @@ from .diagnostics import AuditReport, audit_trace, dense_prox_oracle, fd_gradien
 from .operators import (
     ConvOperator2D,
     ForwardDifference2D,
-    IdentityOperator,
     Laplacian2D,
     LinearOperator,
-    VStackOperator,
     gaussian_psf,
     isotropic_tv,
 )

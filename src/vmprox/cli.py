@@ -18,14 +18,7 @@ import numpy as np
 
 from . import diagnostics, pgm
 from .config import ConfigError, build_problem, deblur_data, load_experiment
-from .operators import (
-    ConvOperator2D,
-    ForwardDifference2D,
-    IdentityOperator,
-    Laplacian2D,
-    VStackOperator,
-    gaussian_psf,
-)
+from .operators import ConvOperator2D, ForwardDifference2D, Laplacian2D, gaussian_psf
 from .problems import (
     CauchyDeblurProblem,
     LinearSolveError,
@@ -272,9 +265,7 @@ def _check_adjoints():
         "conv_9x9": ConvOperator2D(gaussian_psf(9, 1.0), shape),
         "tv_gradient": ForwardDifference2D(shape),
         "laplacian": Laplacian2D(shape),
-        "stacked_tv_identity": VStackOperator(
-            [ForwardDifference2D(shape), IdentityOperator(256)]
-        ),
+        "stacked_tv_identity": TVNonnegRegularizer(shape, 1.0),  # A = [grad; I]
     }
     checks = []
     for name, op in ops.items():

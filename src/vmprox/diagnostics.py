@@ -252,13 +252,13 @@ def _tv_prox_reference(z, alpha, metric, reg, iters):
     # nonnegative clip, both closed form.  The run stops once the primal
     # residual Ay - t and the dual residual sigma A^T (t - t_prev) fall below
     # absolute-plus-relative tolerances ``eps`` (Boyd et al. 2011, sec. 3.3),
-    # or after ``iters`` iterations.  The stacked operator is materialized; the
-    # oracle is restricted to tiny instances.
+    # or after ``iters`` iterations.  The regularizer's operator is
+    # materialized; the oracle is restricted to tiny instances.
     n = reg.n
-    p = reg.A.n_out
+    p = reg.n_out
     d = metric.diag
     eye = np.eye(n)
-    A_mat = np.column_stack([reg.A.apply(eye[:, j]) for j in range(n)])
+    A_mat = np.column_stack([reg.apply(eye[:, j]) for j in range(n)])
     sigma = float(np.median(d)) / alpha
     M = np.diag(d / alpha) + sigma * (A_mat.T @ A_mat)
     cho = scipy.linalg.cho_factor(M)
@@ -273,11 +273,11 @@ def _tv_prox_reference(z, alpha, metric, reg, iters):
         y = scipy.linalg.cho_solve(cho, base_rhs + sigma * (A_mat.T @ (t - u)))
         Ay = A_mat @ y
         w = Ay + u
-        pairs = w[: 2 * n].reshape(n, 2)
-        norms = np.hypot(pairs[:, 0], pairs[:, 1])
+        pairs = w[: 2 * n].reshape(2, n)
+        norms = np.hypot(pairs[0], pairs[1])
         scale = np.maximum(0.0, 1.0 - thresh / np.maximum(norms, 1e-300))
         t_new = np.empty_like(w)
-        t_new[: 2 * n] = (pairs * scale[:, None]).ravel()
+        t_new[: 2 * n] = (pairs * scale).ravel()
         t_new[2 * n :] = np.maximum(w[2 * n :], 0.0)
         u = w - t_new
         r_pri = np.linalg.norm(Ay - t_new)
@@ -287,7 +287,7 @@ def _tv_prox_reference(z, alpha, metric, reg, iters):
         tol_dual = eps * (np.sqrt(n) + sigma * np.linalg.norm(A_mat.T @ u))
         if r_pri <= tol_pri and r_dual <= tol_dual:
             break
-    return reg.project_domain(y)
+    return np.maximum(y, 0.0)
 
 
 def dense_prox_oracle(z, alpha, metric, regularizer, iters=100_000):

@@ -19,8 +19,6 @@ __all__ = [
     "ConvOperator2D",
     "ForwardDifference2D",
     "Laplacian2D",
-    "IdentityOperator",
-    "VStackOperator",
     "gaussian_psf",
     "isotropic_tv",
 ]
@@ -129,24 +127,13 @@ class ConvOperator2D(LinearOperator):
         return self._apply_path(y, adjoint=True, use_fft=self._use_fft())
 
 
-def _differences(x, shape):
-    """Vertical and horizontal forward differences, zero on the last row/column."""
-    h, w = shape
-    u = np.asarray(x, dtype=float).reshape(h, w)
-    dv = np.zeros((h, w))
-    dh = np.zeros((h, w))
-    dv[:-1, :] = u[1:, :] - u[:-1, :]
-    dh[:, :-1] = u[:, 1:] - u[:, :-1]
-    return dv, dh
-
-
 class ForwardDifference2D(LinearOperator):
     """Per-pixel forward differences with Neumann boundary.
 
-    The output interleaves the two components: entries ``2i`` and ``2i + 1``
-    hold the vertical and horizontal difference at pixel ``i`` (row-major),
-    with zero difference on the last row/column.  The adjoint is the negative
-    discrete divergence.
+    The output is planar: the first ``h * w`` entries hold the vertical
+    differences and the next ``h * w`` the horizontal ones, both row-major,
+    with zero difference on the last row/column.  The adjoint is the
+    negative discrete divergence.  Both write into ``out`` when given.
     """
 
     def __init__(self, shape):
@@ -155,29 +142,36 @@ class ForwardDifference2D(LinearOperator):
         self.n_in = h * w
         self.n_out = 2 * h * w
 
-    def apply(self, x):
-        dv, dh = _differences(x, self.shape)
-        out = np.empty(self.n_out)
-        out[0::2] = dv.ravel()
-        out[1::2] = dh.ravel()
+    def apply(self, x, out=None):
+        h, w = self.shape
+        u = np.asarray(x, dtype=float).reshape(h, w)
+        out = np.empty(self.n_out) if out is None else out
+        dv, dh = out.reshape(2, h, w)
+        np.subtract(u[1:, :], u[:-1, :], out=dv[:-1, :])
+        dv[-1, :] = 0.0
+        np.subtract(u[:, 1:], u[:, :-1], out=dh[:, :-1])
+        dh[:, -1] = 0.0
         return out
 
-    def adjoint(self, p):
+    def adjoint(self, p, out=None):
         h, w = self.shape
-        p = np.asarray(p, dtype=float)
-        pv = p[0::2].reshape(h, w)
-        ph = p[1::2].reshape(h, w)
-        out = np.zeros((h, w))
-        out[:-1, :] -= pv[:-1, :]
-        out[1:, :] += pv[:-1, :]
-        out[:, :-1] -= ph[:, :-1]
-        out[:, 1:] += ph[:, :-1]
-        return out.ravel()
+        pv, ph = np.asarray(p, dtype=float).reshape(2, h, w)
+        out = np.empty(self.n_in) if out is None else out
+        img = out.reshape(h, w)
+        # Start from zeros and subtract: ``-p`` would turn zero entries into
+        # -0.0, and the adjoint has always returned +0.0 there.
+        img.fill(0.0)
+        img[:-1, :] -= pv[:-1, :]
+        img[1:, :] += pv[:-1, :]
+        img[:, :-1] -= ph[:, :-1]
+        img[:, 1:] += ph[:, :-1]
+        return out
 
 
 def isotropic_tv(x, shape):
     """Sum over pixels of the Euclidean norm of the forward-difference pair."""
-    return float(np.hypot(*_differences(x, shape)).sum())
+    pairs = ForwardDifference2D(shape).apply(x).reshape(2, *shape)
+    return float(np.hypot(*pairs).sum())
 
 
 class Laplacian2D(LinearOperator):
@@ -219,42 +213,6 @@ class Laplacian2D(LinearOperator):
             second_diff(h), eye_w
         )
         return lap.tocsr()
-
-
-class IdentityOperator(LinearOperator):
-    def __init__(self, n):
-        self.n_in = self.n_out = n
-
-    def apply(self, x):
-        return np.asarray(x, dtype=float)
-
-    def adjoint(self, y):
-        return np.asarray(y, dtype=float)
-
-
-class VStackOperator(LinearOperator):
-    """Vertical stack [A_1; A_2; ...] of operators sharing the input space."""
-
-    def __init__(self, ops):
-        if not ops:
-            raise ValueError("need at least one operator")
-        n_in = ops[0].n_in
-        if any(op.n_in != n_in for op in ops):
-            raise ValueError("stacked operators must share the input size")
-        self.ops = list(ops)
-        self.n_in = n_in
-        self.n_out = sum(op.n_out for op in ops)
-        self._splits = np.cumsum([op.n_out for op in ops])[:-1]
-
-    def apply(self, x):
-        return np.concatenate([op.apply(x) for op in self.ops])
-
-    def adjoint(self, y):
-        parts = np.split(np.asarray(y, dtype=float), self._splits)
-        out = self.ops[0].adjoint(parts[0])
-        for op, part in zip(self.ops[1:], parts[1:]):
-            out = out + op.adjoint(part)
-        return out
 
 
 def gaussian_psf(size, sigma):

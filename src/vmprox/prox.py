@@ -9,11 +9,12 @@ primal-dual gap certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ForwardDifference2D, IdentityOperator, VStackOperator, isotropic_tv
+from .operators import ForwardDifference2D, LinearOperator, isotropic_tv
 
 __all__ = [
     "ProxCertificate",
@@ -42,7 +43,8 @@ class ProxCertificate:
     ``y_tilde``, ``psi_dual`` the dual objective at ``dual_v``; weak duality
     gives ``psi_dual <= h_primal`` and acceptance enforces
     ``h_primal <= psi_dual / (1 + tau/2)``, both nonpositive.
-    ``epsilon_k = -(tau/2) * h_gamma`` is the certified inexactness level.
+    ``epsilon_k = -(tau/2) * h_gamma`` is the certified inexactness level
+    and ``f1_tilde`` the value of ``f1`` at ``y_tilde``.
     """
 
     y_tilde: np.ndarray
@@ -52,6 +54,7 @@ class ProxCertificate:
     h_gamma: float
     epsilon_k: float
     inner_iters: int
+    f1_tilde: float
 
     @property
     def gap(self):
@@ -66,30 +69,53 @@ def exact_prox_box(z, lower, upper):
 
 
 def project_dual_tv(v, rho, n):
-    """Project a dual vector onto the conjugate domain of TV + nonnegativity.
+    """Project a planar dual vector ``[pv; ph; q]`` onto the conjugate domain
+    of TV + nonnegativity.
 
-    The first ``2n`` entries are per-pixel pairs projected onto the ball of
-    radius ``rho``; the last ``n`` entries are clipped to the nonpositive
-    half-line.  Idempotent and nonexpansive.
+    Each pixel's pair ``(pv_i, ph_i)`` is projected onto the ball of radius
+    ``rho``; the last ``n`` entries are clipped to the nonpositive half-line.
+    Idempotent and nonexpansive.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (3 * n,):
         raise ValueError(f"dual vector must have length {3 * n}")
     out = v.copy()
-    pairs = out[: 2 * n].reshape(n, 2)
-    norms = np.hypot(pairs[:, 0], pairs[:, 1])
-    pairs *= np.divide(rho, norms, out=np.ones_like(norms), where=norms > rho)[:, None]
-    np.minimum(out[2 * n :], 0.0, out=out[2 * n :])
+    pv, ph, q = out[:n], out[n : 2 * n], out[2 * n :]
+    # rho / max(norm, rho) is exactly 1 inside the ball (x / x == 1).
+    scale = rho / np.maximum(np.hypot(pv, ph), rho) if rho > 0 else 0.0
+    pv *= scale
+    ph *= scale
+    np.minimum(q, 0.0, out=q)
     return out
 
 
-class TVNonnegRegularizer:
+def _merit_lower_bound(lin, quad, dv, dh, rho, f1_x, work):
+    """Lower bound on ``lin + quad + rho * sum(hypot(dv, dh)) - f1_x`` from
+    the cheaper norms ``sqrt(dv^2 + dh^2)``; ``work`` holds two arrays.
+
+    Each such norm is within a few ulp of ``hypot`` and both TV sums are
+    numpy's pairwise sums in the same order, so with the rounding of the
+    four-term sum they differ by O(log n) ulp, far inside the 1e-12 relative
+    margin.  Underflowing squares err by at most 3e-162 per pair (the
+    absolute term); overflowing ones give a non-finite bound, not to be used.
+    """
+    norms, sq = work
+    with np.errstate(over="ignore"):
+        np.add(np.square(dv, out=norms), np.square(dh, out=sq), out=norms)
+    f1_fast = rho * float(np.sqrt(norms, out=norms).sum())
+    margin = (1e-12 * (abs(lin) + abs(quad) + f1_fast + abs(f1_x))
+              + 1e-150 * (1.0 + rho * dv.size))
+    return lin + quad + f1_fast - f1_x - margin
+
+
+class TVNonnegRegularizer(LinearOperator):
     """``f1(x) = rho * sum_i ||gradient pair_i||`` plus nonnegativity.
 
     Encoded as ``g(Ax)`` with ``A = [gradient; identity]`` mapping R^n to
-    R^{3n}; the conjugate ``g*`` vanishes on its domain (a product of
-    rho-balls and the nonpositive orthant), so dual evaluations only need
-    the domain projection.
+    R^{3n} in the planar layout ``[dv; dh; x]``; this class applies ``A``
+    and ``A^T`` itself.  The conjugate ``g*`` vanishes on its domain (a
+    product of rho-balls and the nonpositive orthant), so dual evaluations
+    only need the domain projection :func:`project_dual_tv`.
     """
 
     def __init__(self, shape, rho):
@@ -98,28 +124,29 @@ class TVNonnegRegularizer:
             raise ValueError("rho must be nonnegative")
         self.shape = (h, w)
         self.n = h * w
+        self.n_in, self.n_out = self.n, 3 * self.n
         self.rho = float(rho)
         self.fd = ForwardDifference2D(shape)
-        self.A = VStackOperator([self.fd, IdentityOperator(self.n)])
-        self.norm_A_sq = self.A.norm_sq_bound()
+        self.norm_A_sq = self.norm_sq_bound()
 
-    def tv(self, x):
-        return isotropic_tv(x, self.shape)
+    def apply(self, x, out=None):
+        """``[dv; dh; x]``, written into ``out`` when given."""
+        out = np.empty(self.n_out) if out is None else out
+        self.fd.apply(x, out[: 2 * self.n])
+        out[2 * self.n :] = x
+        return out
+
+    def adjoint(self, p, out=None):
+        """Negative divergence of ``[pv; ph]`` plus ``q``, into ``out`` when given."""
+        out = self.fd.adjoint(p[: 2 * self.n], out)
+        out += p[2 * self.n :]
+        return out
 
     def f1(self, x):
         x = np.asarray(x, dtype=float)
         if np.any(x < 0):
             return np.inf
-        return self.rho * self.tv(x)
-
-    def in_domain(self, x):
-        return bool(np.all(np.asarray(x) >= 0))
-
-    def project_domain(self, x):
-        return np.maximum(np.asarray(x, dtype=float), 0.0)
-
-    def project_conjugate(self, v):
-        return project_dual_tv(v, self.rho, self.n)
+        return self.rho * isotropic_tv(x, self.shape)
 
 
 class BoxProx:
@@ -162,6 +189,7 @@ class BoxProx:
             h_gamma=h_gamma,
             epsilon_k=0.5 * tau * max(0.0, -h_gamma),
             inner_iters=0,
+            f1_tilde=self.f1(y),
         )
 
 
@@ -171,13 +199,16 @@ class DualTVProx:
     The inner solver is accelerated projected gradient ascent on the dual
     objective with the Chambolle-Dossal stepsize sequence
     ``t_l = (l + a - 1) / a`` (``a = 2.1``) and Lipschitz step
-    ``1 / (alpha * max(D^{-1}) * ||A||^2)``.
+    ``1 / (alpha * max(D^{-1}) * ||A||^2)``, run as one loop over the planar
+    dual vector ``[pv; ph; q]`` with work arrays allocated once per call.
 
     Acceptance takes the first inner iterate whose primal merit value drops
     below ``eta`` times the dual value, ``eta = 1 / (1 + tau/2)``; passing
     ``gap_tol`` switches to a primal-dual gap threshold instead (used by the
-    equivalence tests).  With ``warm_start=True`` the accepted dual vector
-    seeds the next call.
+    equivalence tests).  A cheap lower bound on each candidate's merit value
+    screens it first; the exact TV value is computed only for candidates the
+    bound cannot reject, so the exact test picks the same iterate.  With
+    ``warm_start=True`` the accepted dual vector seeds the next call.
     """
 
     is_exact = False
@@ -194,13 +225,14 @@ class DualTVProx:
         self._v_prev = None
 
     def in_domain(self, x):
-        return self.reg.in_domain(x)
+        return bool(np.all(np.asarray(x) >= 0))
 
     def f1(self, x):
         return self.reg.f1(x)
 
     def solve(self, x, grad, f1_x, alpha, metric, gamma, tau, gap_tol=None):
         reg = self.reg
+        n, rho = reg.n, reg.rho
         d = metric.diag
         z = x - alpha * grad / d
         base = (
@@ -211,19 +243,6 @@ class DualTVProx:
         step = d.min() / (alpha * reg.norm_A_sq)
         eta = 1.0 / (1.0 + 0.5 * tau)
 
-        def psi_of(atv):
-            w = alpha * atv / d - z
-            return -0.5 / alpha * float(np.dot(d * w, w)) + base
-
-        def h_parts(y):
-            dy = y - x
-            quad = 0.5 / alpha * float(np.dot(d * dy, dy))
-            lin = float(np.dot(grad, dy))
-            f1_y = reg.rho * reg.tv(y)
-            h1 = lin + quad + f1_y - f1_x
-            hg = lin + gamma * quad + f1_y - f1_x
-            return h1, hg
-
         def accepted(h1, psi):
             if gap_tol is not None:
                 return h1 - psi <= gap_tol
@@ -231,35 +250,63 @@ class DualTVProx:
             # stationary points.
             return h1 <= eta * psi + 1e-14 * (1.0 + abs(psi))
 
-        if self.warm_start and self._v_prev is not None:
-            v = reg.project_conjugate(self._v_prev)
-        else:
-            v = np.zeros(reg.A.n_out)
+        # Only a warm-started prox keeps its last dual vector.
+        v = np.zeros(reg.n_out) if self._v_prev is None else project_dual_tv(self._v_prev, rho, n)
+        v_old = v
+        u, grad_psi = np.empty(reg.n_out), np.empty(reg.n_out)
+        atv, t, y, dy, prod = (np.empty(n) for _ in range(5))
+        diff = np.empty(2 * n)
+        work = np.empty((2, *reg.shape))
+
+        def scaled_adjoint(p):  # t = alpha D^{-1} A^T p
+            np.multiply(alpha, reg.adjoint(p, atv), out=t)
+            return np.divide(t, d, out=t)
 
         a = 2.1
-        v_old = v
         for ell in range(self.inner_limit + 1):
             if ell > 0:
                 t_cur = (ell + a - 1.0) / a
                 t_next = (ell + a) / a
                 beta = (t_cur - 1.0) / t_next
-                u = v + beta * (v - v_old)
-                atu = reg.A.adjoint(u)
-                grad_psi = reg.A.apply(z - alpha * atu / d)
-                v_old, v = v, reg.project_conjugate(u + step * grad_psi)
+                # u = v + beta (v - v_old); v_new = P(u + step A(z - alpha D^-1 A^T u))
+                np.subtract(v, v_old, out=u)
+                u *= beta
+                u += v
+                reg.apply(np.subtract(z, scaled_adjoint(u), out=t), grad_psi)
+                grad_psi *= step
+                grad_psi += u
+                v_old, v = v, project_dual_tv(grad_psi, rho, n)
 
             # Candidate P_dom(z - alpha D^{-1} A^T v): projecting onto the
             # domain of f1 keeps the primal merit finite at every iterate.
-            atv = reg.A.adjoint(v)
-            y = reg.project_domain(z - alpha * atv / d)
-            h1, hg = h_parts(y)
-            psi = psi_of(atv)
+            np.subtract(z, scaled_adjoint(v), out=y)
+            np.maximum(y, 0.0, out=y)
+            np.subtract(y, x, out=dy)
+            np.multiply(d, dy, out=prod)
+            quad = 0.5 / alpha * float(np.dot(prod, dy))
+            lin = float(np.dot(grad, dy))
+            np.subtract(t, z, out=t)
+            np.multiply(d, t, out=prod)
+            psi = -0.5 / alpha * float(np.dot(prod, t)) + base
+
+            # Both acceptance tests are monotone in the merit value, so a
+            # candidate failing one on a lower bound fails it exactly.
+            dv, dh = reg.fd.apply(y, diff).reshape(2, *reg.shape)
+            low = _merit_lower_bound(lin, quad, dv, dh, rho, f1_x, work)
+            h1 = None
+            if math.isfinite(low) and not accepted(low, psi):
+                continue
+            f1_y = rho * float(np.hypot(dv, dh).sum())
+            h1 = lin + quad + f1_y - f1_x
             if accepted(h1, psi):
+                hg = lin + gamma * quad + f1_y - f1_x
                 if self.warm_start:
                     self._v_prev = v
-                return ProxCertificate(y, v, h1, psi, hg,
-                                       0.5 * tau * max(0.0, -hg), ell)
+                return ProxCertificate(y.copy(), v, h1, psi, hg,
+                                       0.5 * tau * max(0.0, -hg), ell, f1_y)
 
+        if h1 is None:  # the last candidate was screened out
+            h1 = lin + quad + rho * float(np.hypot(dv, dh).sum()) - f1_x
         raise InexactProxError(
             f"no certificate within {self.inner_limit} dual iterations "
             f"(last gap {h1 - psi:.3e})",

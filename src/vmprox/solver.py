@@ -27,8 +27,6 @@ __all__ = [
     "SolveResult",
     "SolverError",
     "LinesearchError",
-    "eval_h_gamma",
-    "proximal_target",
     "armijo_backtrack",
     "solver_step",
     "minimize",
@@ -137,39 +135,29 @@ class SolveResult:
     trace: list
 
 
-def eval_h_gamma(x, state, problem, gamma):
-    """Linesearch merit at ``x``: linearization of the smooth part plus a
-    ``gamma``-weighted scaled quadratic plus the change in ``f1``.
-
-    Vanishes at the current iterate; infeasible ``x`` raises.
-    """
-    f1_x = problem.f1(x)
-    if not np.isfinite(f1_x):
-        raise ValueError("h_gamma requested at an infeasible point")
-    dx = x - state.x
-    quad = 0.5 / state.alpha * state.metric.norm_sq(dx)
-    return float(np.dot(state.grad_f0, dx)) + gamma * quad + f1_x - state.f1_value
-
-
-def proximal_target(state):
-    """Scaled gradient step ``z = x - alpha D^{-1} grad``."""
-    return state.x - state.alpha * state.grad_f0 / state.metric.diag
-
-
-def armijo_backtrack(state, y_tilde, h_gamma_tilde, problem, config):
+def armijo_backtrack(state, y_tilde, h_gamma_tilde, f1_tilde, problem, config):
     """Smallest ``i`` with ``f(x + delta^i d) <= f(x) + beta delta^i h_gamma``.
 
     Probes are convex combinations of the current iterate and the proximal
-    point, hence feasible.  Returns ``(lam, f_new, backtracks, x_probe)``.
+    point, hence feasible; the ``lam = 1`` probe is ``y_tilde`` itself, whose
+    ``f1`` value ``f1_tilde`` the prox already computed.  Each probe costs
+    one ``f0`` and, past the first, one ``f1``.  Returns
+    ``(lam, f_new, backtracks, x_probe, f1_new, f_tilde)``, where
+    ``f_tilde`` is the objective at ``y_tilde``.
     """
     probes = []
     lam = 1.0
+    x_probe, f1_probe = y_tilde, f1_tilde
     for i in range(config.max_backtracks + 1):
-        x_probe = (1.0 - lam) * state.x + lam * y_tilde
-        f_probe = problem.f(x_probe)
+        if i > 0:
+            x_probe = (1.0 - lam) * state.x + lam * y_tilde
+            f1_probe = problem.f1(x_probe)
+        f_probe = problem.f0(x_probe) + f1_probe if np.isfinite(f1_probe) else np.inf
+        if i == 0:
+            f_tilde = f_probe
         probes.append((lam, f_probe))
         if f_probe <= state.f_value + config.beta * lam * h_gamma_tilde:
-            return lam, f_probe, i, x_probe
+            return lam, f_probe, i, x_probe, f1_probe, f_tilde
         lam *= config.delta
     raise LinesearchError(
         f"no sufficient decrease within {config.max_backtracks} backtracks "
@@ -208,15 +196,13 @@ def solver_step(state, problem, config, metric_strategy, steplength_strategy,
         )
     y_tilde = cert.y_tilde
 
-    lam, f_ls, backtracks, x_ls = armijo_backtrack(
-        state, y_tilde, cert.h_gamma, problem, config
+    lam, f_ls, backtracks, x_ls, f1_ls, f_tilde = armijo_backtrack(
+        state, y_tilde, cert.h_gamma, cert.f1_tilde, problem, config
     )
-
-    f_tilde = problem.f(y_tilde)
     if f_tilde < f_ls:
-        x_next, f_next, chose_tilde = y_tilde, f_tilde, True
+        x_next, f_next, f1_next, chose_tilde = y_tilde, f_tilde, cert.f1_tilde, True
     else:
-        x_next, f_next, chose_tilde = x_ls, f_ls, False
+        x_next, f_next, f1_next, chose_tilde = x_ls, f_ls, f1_ls, False
 
     dist_tilde = float(np.linalg.norm(y_tilde - state.x))
     step_norm = float(np.linalg.norm(x_next - state.x))
@@ -243,7 +229,7 @@ def solver_step(state, problem, config, metric_strategy, steplength_strategy,
     next_state = IterateState(
         x=x_next,
         f_value=f_next,
-        f1_value=problem.f1(x_next),
+        f1_value=f1_next,
         grad_f0=problem.grad_f0(x_next),
         alpha=alpha,
         metric=metric,
@@ -285,9 +271,7 @@ def minimize(problem, config, x0, metric="identity", steplength="bb",
         steplength = make_steplength_strategy(
             steplength, config.alpha_min, config.alpha_max, window=ritz_window
         )
-    if hasattr(problem.prox, "reset"):
-        problem.prox.reset()
-
+    problem.reset()
     state = _initial_state(problem, config, x0)
     trace = []
     for _ in range(config.max_outer_iters):
@@ -303,4 +287,5 @@ def minimize(problem, config, x0, metric="identity", steplength="bb",
             rel_step = record.step_norm
         if rel_step <= config.stop_tol:
             break
+    problem.reset()  # warm start and caches end with the solve
     return SolveResult(x=state.x, trace=trace)

@@ -127,7 +127,7 @@ def sg_metric_gaussian(x, problem, mu):
     the positive part of the gradient splitting.
     """
     x = np.asarray(x, dtype=float)
-    t = problem.H.apply(x)
+    t = problem.blur(x)
     a, b, g = problem.a, problem.b, problem.g
     c = a * t + b
     s = t * (a * (t + g) + 2.0 * b) / (2.0 * c * c) + 0.5 * a / c
@@ -143,7 +143,7 @@ def sg_metric_cauchy(x, problem, mu):
     ``s_i = (Hx)_i / (gamma^2 + ((Hx)_i - g_i)^2)``.
     """
     x = np.asarray(x, dtype=float)
-    t = problem.H.apply(x)
+    t = problem.blur(x)
     r = t - problem.g
     s = t / (problem.gamma_noise**2 + r * r)
     V = problem.lambda_reg * problem.H.adjoint(s)

@@ -18,9 +18,7 @@ from vmprox.diagnostics import (
 from vmprox.operators import (
     ConvOperator2D,
     ForwardDifference2D,
-    IdentityOperator,
     Laplacian2D,
-    VStackOperator,
     gaussian_psf,
 )
 from vmprox.problems import (
@@ -97,9 +95,7 @@ def test_criterion_1_adjoint_consistency():
         "conv9_fft": ConvOperator2D(gaussian_psf(9, 1.0), shape, mode="fft"),
         "tv_gradient": ForwardDifference2D(shape),
         "laplacian": Laplacian2D(shape),
-        "stacked": VStackOperator(
-            [ForwardDifference2D(shape), IdentityOperator(256)]
-        ),
+        "stacked": TVNonnegRegularizer(shape, 1.0),
     }
     worst = {k: adjoint_max_residual(op, trials=20, seed=7)
              for k, op in ops.items()}

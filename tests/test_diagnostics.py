@@ -164,10 +164,10 @@ class TestDenseProxOracle:
         yv = cp.Variable(n)
         eye = np.eye(n)
         fd_mat = np.column_stack([reg.fd.apply(eye[:, j]) for j in range(n)])
-        pairs = cp.reshape(fd_mat @ yv, (n, 2), order="C")
+        pairs = cp.reshape(fd_mat @ yv, (2, n), order="C")  # planar [dv; dh]
         obj = 0.5 / alpha * cp.sum(
             cp.multiply(metric.diag, cp.square(yv - z))
-        ) + reg.rho * cp.sum(cp.norm(pairs, axis=1))
+        ) + reg.rho * cp.sum(cp.norm(pairs, axis=0))
         cp.Problem(cp.Minimize(obj), [yv >= 0]).solve(solver=cp.CLARABEL)
         assert np.abs(y_ref - yv.value).max() <= 1e-5
 

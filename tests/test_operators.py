@@ -5,12 +5,11 @@ from vmprox.diagnostics import adjoint_max_residual
 from vmprox.operators import (
     ConvOperator2D,
     ForwardDifference2D,
-    IdentityOperator,
     Laplacian2D,
-    VStackOperator,
     gaussian_psf,
     isotropic_tv,
 )
+from vmprox.prox import TVNonnegRegularizer
 
 RNG = np.random.default_rng(0)
 
@@ -73,7 +72,7 @@ def test_conv_fft_and_direct_paths_agree():
         ConvOperator2D(gaussian_psf(9, 1.0), (16, 16), mode="fft"),
         ForwardDifference2D((16, 16)),
         Laplacian2D((16, 16)),
-        VStackOperator([ForwardDifference2D((16, 16)), IdentityOperator(256)]),
+        TVNonnegRegularizer((16, 16), 1.0),
     ],
     ids=["conv7", "conv9fft", "fd", "laplacian", "stack"],
 )
@@ -85,8 +84,7 @@ def test_forward_difference_on_ramp():
     h, w = 6, 5
     x = np.tile(np.arange(w, dtype=float), (h, 1))  # horizontal ramp
     out = ForwardDifference2D((h, w)).apply(x.ravel())
-    dv = out[0::2].reshape(h, w)
-    dh = out[1::2].reshape(h, w)
+    dv, dh = out.reshape(2, h, w)
     assert np.all(dv == 0)
     assert np.all(dh[:, :-1] == 1.0)
     assert np.all(dh[:, -1] == 0.0)
@@ -100,8 +98,8 @@ def test_forward_difference_constant_image():
 def test_isotropic_tv_matches_stacked_operator():
     shape = (7, 9)
     x = RNG.standard_normal(63)
-    pairs = ForwardDifference2D(shape).apply(x).reshape(-1, 2)
-    expected = np.hypot(pairs[:, 0], pairs[:, 1]).sum()
+    dv, dh = ForwardDifference2D(shape).apply(x).reshape(2, -1)
+    expected = np.hypot(dv, dh).sum()
     assert isotropic_tv(x, shape) == pytest.approx(expected, rel=1e-15)
     assert isotropic_tv(np.full(63, 2.0), shape) == 0.0
 
@@ -127,15 +125,30 @@ def test_laplacian_sparse_matches_operator():
 
 
 def test_vstack_shapes_and_adjoint_sum():
+    # The regularizer's operator is the stack [gradient; identity].
     fd = ForwardDifference2D((4, 4))
-    stack = VStackOperator([fd, IdentityOperator(16)])
+    stack = TVNonnegRegularizer((4, 4), 1.0)
     assert stack.n_out == 48
     x = RNG.standard_normal(16)
     y = RNG.standard_normal(48)
     np.testing.assert_allclose(
         stack.adjoint(y), fd.adjoint(y[:32]) + y[32:], atol=1e-14
     )
+    np.testing.assert_array_equal(stack.apply(x)[:32], fd.apply(x))
     np.testing.assert_allclose(stack.apply(x)[32:], x)
+
+
+def test_out_buffers_match_fresh_results():
+    fd = ForwardDifference2D((5, 7))
+    x = RNG.standard_normal(35)
+    p = RNG.standard_normal(70)
+    buf, img = np.full(70, np.nan), np.full(35, np.nan)
+    assert fd.apply(x, buf) is buf
+    np.testing.assert_array_equal(buf, fd.apply(x))
+    assert fd.adjoint(p, img) is img
+    np.testing.assert_array_equal(img, fd.adjoint(p))
+    # zeros map to +0.0, never -0.0
+    assert not np.signbit(fd.adjoint(np.zeros(70))).any()
 
 
 def test_norm_bound_is_an_upper_bound():

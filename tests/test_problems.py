@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vmprox.diagnostics import fd_gradient_check
-from vmprox.operators import ConvOperator2D, IdentityOperator, gaussian_psf
+from vmprox.operators import ConvOperator2D, LinearOperator, gaussian_psf
 from vmprox.problems import (
     CauchyDeblurProblem,
     DomainError,
@@ -14,6 +14,18 @@ from vmprox.problems import (
     degrade_synthetic,
     smooth_image,
 )
+
+
+class IdentityOperator(LinearOperator):
+    """The identity map, as the blur of hand-checkable problems."""
+
+    def __init__(self, n):
+        self.n_in = self.n_out = n
+
+    def apply(self, x):
+        return np.array(x, dtype=float)
+
+    adjoint = apply
 
 
 def _deconv_setup(seed=11, shape=(8, 8), model="gaussian_sd"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vmprox.diagnostics import dense_prox_oracle
 from vmprox.prox import (
@@ -7,6 +9,7 @@ from vmprox.prox import (
     DualTVProx,
     InexactProxError,
     TVNonnegRegularizer,
+    _merit_lower_bound,
     exact_prox_box,
     project_dual_tv,
 )
@@ -232,3 +235,244 @@ def test_oracle_equivalence(seed, shape):
     z = x - alpha * grad / metric.diag
     y_star = dense_prox_oracle(z, alpha, metric, reg)
     assert np.abs(cert.y_tilde - y_star).max() <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity oracle: the dual loop as it ran on the interleaved layout
+# ``[dv_0, dh_0, dv_1, dh_1, ...; q]`` with a stacked operator, before the
+# planar fused loop.  The fused loop must reproduce it bit for bit.
+
+
+def _old_differences(x, shape):
+    h, w = shape
+    u = np.asarray(x, dtype=float).reshape(h, w)
+    dv = np.zeros((h, w))
+    dh = np.zeros((h, w))
+    dv[:-1, :] = u[1:, :] - u[:-1, :]
+    dh[:, :-1] = u[:, 1:] - u[:, :-1]
+    return dv, dh
+
+
+def _old_apply(x, shape):
+    dv, dh = _old_differences(x, shape)
+    out = np.empty(2 * dv.size)
+    out[0::2] = dv.ravel()
+    out[1::2] = dh.ravel()
+    return np.concatenate([out, np.asarray(x, dtype=float)])
+
+
+def _old_adjoint(p, shape):
+    h, w = shape
+    n = h * w
+    fd_part, id_part = np.split(np.asarray(p, dtype=float), [2 * n])
+    pv = fd_part[0::2].reshape(h, w)
+    ph = fd_part[1::2].reshape(h, w)
+    out = np.zeros((h, w))
+    out[:-1, :] -= pv[:-1, :]
+    out[1:, :] += pv[:-1, :]
+    out[:, :-1] -= ph[:, :-1]
+    out[:, 1:] += ph[:, :-1]
+    out = out.ravel()
+    return out + id_part
+
+
+def _old_project(v, rho, n):
+    out = np.asarray(v, dtype=float).copy()
+    pairs = out[: 2 * n].reshape(n, 2)
+    norms = np.hypot(pairs[:, 0], pairs[:, 1])
+    pairs *= np.divide(rho, norms, out=np.ones_like(norms), where=norms > rho)[:, None]
+    np.minimum(out[2 * n :], 0.0, out=out[2 * n :])
+    return out
+
+
+def _old_norm_sq_bound(shape):
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(shape[0] * shape[1])
+    v /= np.linalg.norm(v)
+    est = 0.0
+    for _ in range(50):
+        w = _old_adjoint(_old_apply(v, shape), shape)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            break
+        est = nw
+        v = w / nw
+    return 1.05 * est
+
+
+def _old_dual_tv(shape, rho, v_prev, inner_limit, x, grad, f1_x, alpha, d,
+                 gamma, tau, gap_tol):
+    """Returns ``(y, v, h1, psi, hg, ell)``, or ``("gap", last_gap)``."""
+    n = shape[0] * shape[1]
+    z = x - alpha * grad / d
+    base = (-f1_x - 0.5 * alpha * float(np.dot(grad / d, grad))
+            + 0.5 / alpha * float(np.dot(d * z, z)))
+    step = d.min() / (alpha * _old_norm_sq_bound(shape))
+    eta = 1.0 / (1.0 + 0.5 * tau)
+
+    def accepted(h1, psi):
+        if gap_tol is not None:
+            return h1 - psi <= gap_tol
+        return h1 <= eta * psi + 1e-14 * (1.0 + abs(psi))
+
+    v = np.zeros(3 * n) if v_prev is None else _old_project(v_prev, rho, n)
+    a = 2.1
+    v_old = v
+    for ell in range(inner_limit + 1):
+        if ell > 0:
+            t_cur = (ell + a - 1.0) / a
+            t_next = (ell + a) / a
+            beta = (t_cur - 1.0) / t_next
+            u = v + beta * (v - v_old)
+            atu = _old_adjoint(u, shape)
+            grad_psi = _old_apply(z - alpha * atu / d, shape)
+            v_old, v = v, _old_project(u + step * grad_psi, rho, n)
+        atv = _old_adjoint(v, shape)
+        y = np.maximum(z - alpha * atv / d, 0.0)
+        dy = y - x
+        quad = 0.5 / alpha * float(np.dot(d * dy, dy))
+        lin = float(np.dot(grad, dy))
+        f1_y = rho * float(np.hypot(*_old_differences(y, shape)).sum())
+        h1 = lin + quad + f1_y - f1_x
+        hg = lin + gamma * quad + f1_y - f1_x
+        w = alpha * atv / d - z
+        psi = -0.5 / alpha * float(np.dot(d * w, w)) + base
+        if accepted(h1, psi):
+            return y, v, h1, psi, hg, ell
+    return "gap", h1 - psi
+
+
+def _planar(v_old_layout, n):
+    return np.concatenate([v_old_layout[0 : 2 * n : 2],
+                           v_old_layout[1 : 2 * n : 2], v_old_layout[2 * n :]])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _assert_same_bits(a, b):
+    np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+def _assert_matches_old_loop(prox, v_prev, x, grad, alpha, metric, gamma, tau,
+                             gap_tol):
+    reg = prox.reg
+    f1_x = reg.f1(x)
+    old = _old_dual_tv(reg.shape, reg.rho, v_prev, prox.inner_limit, x, grad,
+                       f1_x, alpha, metric.diag, gamma, tau, gap_tol)
+    if isinstance(old[0], str):
+        with pytest.raises(InexactProxError) as ei:
+            prox.solve(x, grad, f1_x, alpha, metric, gamma, tau, gap_tol=gap_tol)
+        _assert_same_bits(ei.value.last_gap, old[1])
+        return None
+    cert = prox.solve(x, grad, f1_x, alpha, metric, gamma, tau, gap_tol=gap_tol)
+    y, v, h1, psi, hg, ell = old
+    _assert_same_bits(cert.y_tilde, y)
+    _assert_same_bits(cert.dual_v, _planar(v, reg.n))
+    for new_value, old_value in ((cert.h_primal, h1), (cert.psi_dual, psi),
+                                 (cert.h_gamma, hg)):
+        _assert_same_bits(new_value, old_value)
+    assert cert.inner_iters == ell
+    assert cert.f1_tilde == reg.f1(y)
+    return v
+
+
+@st.composite
+def _dual_instances(draw):
+    h = draw(st.integers(2, 12))
+    w = draw(st.integers(2, 12))
+    rho = draw(st.sampled_from([0.0, 0.01, 0.2, 1.5]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    alpha = draw(st.sampled_from([1e-3, 0.05, 0.5, 3.0, 80.0]))
+    spread = draw(st.sampled_from([0.0, 1.0, 4.0]))  # decades of metric range
+    gap_tol = draw(st.sampled_from([None, None, 1e-2, 1e-6]))
+    tau = draw(st.sampled_from([1e6 - 1, 1.0]))
+    return (h, w), rho, seed, alpha, spread, gap_tol, tau
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dual_instances())
+def test_fused_loop_matches_interleaved_loop_bitwise(instance):
+    shape, rho, seed, alpha, spread, gap_tol, tau = instance
+    n = shape[0] * shape[1]
+    rng = np.random.default_rng(seed)
+    reg = TVNonnegRegularizer(shape, rho)
+    _assert_same_bits(reg.norm_A_sq, _old_norm_sq_bound(shape))
+    metric = DiagonalMetric.from_inverse_diag(
+        10.0 ** rng.uniform(-spread, spread, n), 1e10)
+    prox = DualTVProx(reg, inner_limit=2000, warm_start=True)
+    x = rng.random(n)
+    v_prev = None
+    # two consecutive calls: the second one starts from the first's dual vector
+    for _ in range(2):
+        grad = rng.standard_normal(n)
+        v_prev = _assert_matches_old_loop(prox, v_prev, x, grad, alpha, metric,
+                                          1.0, tau, gap_tol)
+        if v_prev is None:
+            break
+        x = np.maximum(x - 0.1 * grad, 0.0)
+
+
+def test_exhausted_budget_reports_exact_last_gap():
+    for seed in range(6):
+        reg, x, grad, alpha, metric = _random_instance(40 + seed, shape=(5, 4))
+        f1_x = reg.f1(x)
+        old = _old_dual_tv(reg.shape, reg.rho, None, 1, x, grad, f1_x, alpha,
+                           metric.diag, 1.0, 1e6 - 1, 1e-30)
+        assert old[0] == "gap"
+        prox = DualTVProx(reg, inner_limit=1, warm_start=False)
+        with pytest.raises(InexactProxError) as ei:
+            prox.solve(x, grad, f1_x, alpha, metric, 1.0, 1e6 - 1, gap_tol=1e-30)
+        _assert_same_bits(ei.value.last_gap, old[1])
+        assert f"{old[1]:.3e}" in str(ei.value)
+
+
+class TestMeritLowerBound:
+    """The screen that spares the exact TV sum of rejected candidates."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-155, 1e-8, 1.0,
+                                       1e100, 1e150, 1e154, 1e160])
+    def test_never_above_the_exact_value(self, scale):
+        rng = np.random.default_rng(abs(int(np.log10(scale))))
+        shape = (13, 11)
+        work = np.empty((2, *shape))
+        for trial in range(40):
+            dv, dh = scale * rng.standard_normal((2, *shape))
+            dv[rng.random(shape) < 0.2] = 0.0
+            rho = float(rng.choice([0.0, 1e-3, 1.0, 7.0]))
+            f1 = rho * float(np.hypot(dv, dh).sum())
+            # lin + quad close to cancelling the TV change, as near acceptance
+            f1_x = f1 * rng.uniform(0.0, 2.0)
+            quad = abs(rng.standard_normal()) * max(f1, 1e-300)
+            lin = f1_x - f1 - quad + rng.standard_normal() * 1e-15 * max(f1, 1e-300)
+            exact = lin + quad + f1 - f1_x
+            low = _merit_lower_bound(lin, quad, dv, dh, rho, f1_x, work)
+            assert not np.isfinite(low) or low <= exact
+            if np.isfinite(low) and scale >= 1e-150:
+                # and tight enough to reject candidates clearly above the line
+                assert exact - low <= 1e-11 * (abs(lin) + quad + f1 + f1_x) + 1e-140
+
+    def test_overflowing_squares_disable_the_screen(self):
+        dv = np.full((3, 3), 1e160)
+        dh = np.full((3, 3), -2e160)
+        low = _merit_lower_bound(0.0, 0.0, dv, dh, 1.0, 0.0, np.empty((2, 3, 3)))
+        assert not np.isfinite(low)
+
+    def test_underflowing_squares_still_bound_from_below(self):
+        # squares of 1e-170 are 0 in double precision, hypot is not
+        dv = np.full((4, 4), 1e-170)
+        dh = np.full((4, 4), 3e-170)
+        f1 = float(np.hypot(dv, dh).sum())
+        low = _merit_lower_bound(0.0, 0.0, dv, dh, 1.0, 0.0, np.empty((2, 4, 4)))
+        assert low <= f1
+
+    def test_rejects_exactly_what_the_exact_test_rejects_at_extremes(self):
+        # Differences near 1e-160 have underflowing squares.  Beyond 1e150
+        # the dual value itself overflows, so that is the largest scale.
+        for scale in (1e-160, 1e150):
+            reg, x, grad, alpha, metric = _random_instance(77, shape=(4, 5),
+                                                           rho=0.3)
+            x, grad = scale * x, scale * grad
+            _assert_matches_old_loop(DualTVProx(reg, warm_start=False), None,
+                                     x, grad, alpha, metric, 1.0, 1e6 - 1, None)

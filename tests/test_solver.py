@@ -1,11 +1,16 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from vmprox.config import build_problem, load_experiment
 from vmprox.diagnostics import audit_trace
 from vmprox.operators import ConvOperator2D, gaussian_psf
 from vmprox.problems import (
     CauchyDeblurProblem,
     MaskCompressionProblem,
+    Problem,
     SignalDependentGaussianProblem,
     Toy1DBoxProblem,
     cartoon_image,
@@ -18,9 +23,7 @@ from vmprox.solver import (
     LinesearchError,
     SolverConfig,
     armijo_backtrack,
-    eval_h_gamma,
     minimize,
-    proximal_target,
 )
 from vmprox.strategies import (
     DiagonalMetric,
@@ -43,7 +46,7 @@ def _toy_state(x=0.0, alpha=1.0):
     )
 
 
-class _QuadProblem:
+class _QuadProblem(Problem):
     """f0 = ||x||^2 / 2 over a huge box (effectively unconstrained)."""
 
     kind = "quad"
@@ -103,55 +106,78 @@ class TestSolverConfig:
             SolverConfig(**kwargs)
 
 
+def _toy_certificate(p, st, gamma=1.0):
+    """The certificate the solver gets for the toy state's prox step."""
+    return p.prox.solve(st.x, st.grad_f0, st.f1_value, st.alpha, st.metric,
+                        gamma, 1e6 - 1)
+
+
 class TestEvalHGamma:
+    """The merit value ``h_gamma`` at the prox point, as ``BoxProx.solve``
+    certifies it."""
+
     def test_zero_at_current_iterate(self):
         p, st = _toy_state()
-        assert eval_h_gamma(st.x, st, p, 1.0) == 0.0
+        st.grad_f0 = np.zeros(1)
+        cert = _toy_certificate(p, st)
+        assert cert.y_tilde[0] == st.x[0]
+        assert cert.h_gamma == 0.0 and cert.h_primal == 0.0
 
     def test_linesearch_example_values(self):
         p, st = _toy_state()
-        assert eval_h_gamma(np.array([2.0]), st, p, 1.0) == -2.0
-        assert eval_h_gamma(np.array([4.0]), st, p, 1.0) == 0.0
+        cert = _toy_certificate(p, st)
+        assert cert.y_tilde[0] == 2.0
+        assert cert.h_gamma == -2.0 and cert.h_primal == -2.0
+        assert cert.epsilon_k == 0.5 * (1e6 - 1) * 2.0
 
     def test_gamma_zero_drops_quadratic(self):
         p, st = _toy_state()
-        assert eval_h_gamma(np.array([2.0]), st, p, 0.0) == -4.0
+        cert = _toy_certificate(p, st, gamma=0.0)
+        assert cert.h_gamma == -4.0 and cert.h_primal == -2.0
 
-    def test_infeasible_point_raises(self):
+    def test_infeasible_target_is_clipped(self):
         p, st = _toy_state()
-        with pytest.raises(ValueError):
-            eval_h_gamma(np.array([12.0]), st, p, 1.0)
+        st.grad_f0 = np.array([-12.0])  # target z = 12 lies outside [0, 10]
+        cert = _toy_certificate(p, st)
+        assert cert.y_tilde[0] == 10.0 and cert.f1_tilde == 0.0
+        assert cert.h_gamma == -120.0 + 50.0
 
 
 class TestProximalTarget:
+    """The point ``y_tilde = P(x - alpha D^{-1} grad)`` of ``BoxProx.solve``."""
+
     def test_zero_gradient_fixed_point(self):
         p, st = _toy_state()
         st.grad_f0 = np.zeros(1)
-        assert proximal_target(st)[0] == st.x[0]
+        assert _toy_certificate(p, st).y_tilde[0] == st.x[0]
 
     def test_linesearch_example(self):
-        _, st = _toy_state()
-        assert proximal_target(st)[0] == 2.0
+        p, st = _toy_state()
+        assert _toy_certificate(p, st).y_tilde[0] == 2.0
 
     def test_entrywise_metric_division(self):
-        _, st = _toy_state()
+        p, st = _toy_state()
         st.metric = DiagonalMetric(np.array([2.0]), 10.0)
-        assert proximal_target(st)[0] == 1.0
+        assert _toy_certificate(p, st).y_tilde[0] == 1.0
 
 
 class TestArmijo:
     def test_linesearch_example_accepts_full_step(self):
         p, st = _toy_state()
         cfg = SolverConfig(beta=0.5)
-        lam, f_new, bts, _ = armijo_backtrack(st, np.array([2.0]), -2.0, p, cfg)
+        y = np.array([2.0])
+        lam, f_new, bts, probe, f1_new, f_tilde = armijo_backtrack(
+            st, y, -2.0, 0.0, p, cfg)
         assert lam == 1.0
         assert bts == 0
         assert f_new == pytest.approx(2.0 / 3.0, rel=1e-15)
+        # the unit probe is the prox point itself, evaluated once
+        assert probe is y and f1_new == 0.0 and f_tilde == f_new
 
     def test_stationary_accepts_immediately(self):
         p, st = _toy_state()
-        lam, f_new, bts, _ = armijo_backtrack(st, st.x.copy(), 0.0, p,
-                                              SolverConfig())
+        lam, f_new, bts, *_ = armijo_backtrack(st, st.x.copy(), 0.0, 0.0, p,
+                                               SolverConfig())
         assert lam == 1.0 and bts == 0 and f_new == st.f_value
 
     def test_quadratic_full_step(self):
@@ -161,8 +187,8 @@ class TestArmijo:
                           alpha=1.0, metric=DiagonalMetric.identity(2, 10.0),
                           k=0)
         # prox target is the origin; h_gamma there is -1/2
-        lam, f_new, bts, _ = armijo_backtrack(st, np.zeros(2), -0.5, p,
-                                              SolverConfig())
+        lam, f_new, bts, *_ = armijo_backtrack(st, np.zeros(2), -0.5, 0.0, p,
+                                               SolverConfig())
         assert lam == 1.0 and f_new == 0.0 and bts == 0
 
     def test_probes_stay_feasible(self):
@@ -171,8 +197,8 @@ class TestArmijo:
         st = IterateState(x=x, f_value=p.f(x), f1_value=0.0,
                           grad_f0=p.grad_f0(x), alpha=1.0,
                           metric=DiagonalMetric.identity(1, 1e10), k=0)
-        lam, f_new, _, probe = armijo_backtrack(st, np.array([0.0]), -1e-9, p,
-                                                SolverConfig())
+        lam, f_new, _, probe, _, _ = armijo_backtrack(
+            st, np.array([0.0]), -1e-9, 0.0, p, SolverConfig())
         assert 0.0 <= probe[0] <= 10.0
         assert np.isfinite(f_new)
 
@@ -182,7 +208,7 @@ class TestArmijo:
         p, st = _toy_state(x=4.0)
         cfg = SolverConfig(max_backtracks=5)
         with pytest.raises(LinesearchError) as ei:
-            armijo_backtrack(st, np.array([0.0]), -1e-9, p, cfg)
+            armijo_backtrack(st, np.array([0.0]), -1e-9, 0.0, p, cfg)
         assert len(ei.value.probes) == 6
 
 
@@ -358,3 +384,67 @@ def test_h_gamma_nonpositive_along_runs():
         assert rec.h_gamma <= 0.0
         assert rec.epsilon_k >= 0.0
         assert rec.lam in {0.5**i for i in range(61)}
+
+
+class TestEvaluationCounts:
+    """Each point's objective pieces are computed once per outer step:
+    one ``f0`` per Armijo probe, one blur per distinct point, and an exact
+    TV sum only for accepted prox candidates and non-unit probes."""
+
+    @staticmethod
+    def _counters(monkeypatch, problem):
+        calls = {"f0": 0, "tv": 0, "pair_norms": 0}
+        f0, hypot = problem.f0, np.hypot
+
+        def counted_f0(x):
+            calls["f0"] += 1
+            return f0(x)
+
+        def counted_hypot(a, b, *args, **kwargs):
+            # TV sums take 2-D difference images, the dual projection 1-D
+            # slices of the dual vector.
+            calls["tv" if np.ndim(a) == 2 else "pair_norms"] += 1
+            return hypot(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(problem, "f0", counted_f0)
+        monkeypatch.setattr(np, "hypot", counted_hypot)
+        return calls
+
+    def test_cauchy_16(self, monkeypatch):
+        shape = (16, 16)
+        H = ConvOperator2D(gaussian_psf(9, 1.0), shape)
+        g = np.clip(degrade_synthetic(cartoon_image(shape), H, "cauchy", seed=5),
+                    0.0, 1.0)
+        problem = CauchyDeblurProblem(H, g, shape)
+        calls = self._counters(monkeypatch, problem)
+        blurred = []
+        apply = H.apply
+
+        def recorded_apply(x):
+            blurred.append(np.asarray(x, dtype=float).tobytes())
+            return apply(x)
+
+        monkeypatch.setattr(H, "apply", recorded_apply)
+        res = minimize(problem, SolverConfig(max_outer_iters=20),
+                       np.maximum(g, 1e-3), metric="sg", steplength="ritz")
+        trace = res.trace
+        backtracks = sum(r.backtracks for r in trace)
+        assert len(trace) == 20 and backtracks > 0
+        assert calls["f0"] == 1 + len(trace) + backtracks
+        assert len(blurred) == len(set(blurred))
+        # f1(x0), one accepted candidate per prox call, one per non-unit probe
+        assert calls["tv"] == 1 + len(trace) + backtracks
+        assert calls["pair_norms"] > 0
+
+    def test_compression_32(self, monkeypatch):
+        preset = Path(__file__).resolve().parents[1] / "presets" / "compression_32.yaml"
+        cfg = load_experiment(preset)
+        problem, _, _, x0, _ = build_problem(cfg, preset.parent)
+        calls = self._counters(monkeypatch, problem)
+        res = minimize(problem, replace(cfg.solver, max_outer_iters=20), x0,
+                       metric=cfg.metric, steplength=cfg.steplength,
+                       ritz_window=cfg.ritz_window)
+        backtracks = sum(r.backtracks for r in res.trace)
+        assert len(res.trace) == 20 and backtracks > 0
+        assert calls["f0"] == 1 + len(res.trace) + backtracks
+        assert calls["tv"] == calls["pair_norms"] == 0

@@ -1,7 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from vmprox.operators import IdentityOperator
 from vmprox.strategies import (
     BBSteplengthStrategy,
     DiagonalMetric,
@@ -23,11 +24,16 @@ class _Stub:
     """Duck-typed problem carrying just what a strategy needs."""
 
 
+def _identity(x):
+    return np.array(x, dtype=float)
+
+
 def _gaussian_stub(n=1, a=1.0, b=1.0, g=1.0):
     p = _Stub()
     p.kind = "gaussian_sd"
     p.n = n
-    p.H = IdentityOperator(n)
+    p.H = SimpleNamespace(apply=_identity, adjoint=_identity)
+    p.blur = _identity
     p.a = np.full(n, a)
     p.b = np.full(n, b)
     p.g = np.full(n, g)
@@ -38,7 +44,8 @@ def _cauchy_stub(n=1, gamma=1.0, lam=1.0, g=0.0):
     p = _Stub()
     p.kind = "cauchy"
     p.n = n
-    p.H = IdentityOperator(n)
+    p.H = SimpleNamespace(apply=_identity, adjoint=_identity)
+    p.blur = _identity
     p.gamma_noise = gamma
     p.lambda_reg = lam
     p.g = np.full(n, g)
