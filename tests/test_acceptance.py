@@ -92,7 +92,6 @@ def test_criterion_1_adjoint_consistency():
     ops = {
         "conv7": ConvOperator2D(gaussian_psf(7, 1.0), shape),
         "conv9": ConvOperator2D(gaussian_psf(9, 1.0), shape),
-        "conv9_fft": ConvOperator2D(gaussian_psf(9, 1.0), shape, mode="fft"),
         "tv_gradient": ForwardDifference2D(shape),
         "laplacian": Laplacian2D(shape),
         "stacked": TVNonnegRegularizer(shape, 1.0),

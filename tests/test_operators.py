@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import vmprox
 from vmprox.diagnostics import adjoint_max_residual
 from vmprox.operators import (
     ConvOperator2D,
@@ -47,29 +53,69 @@ def test_conv_rejects_bad_kernels():
         ConvOperator2D(np.ones((9, 9)), (4, 4))
 
 
-def test_conv_auto_mode_switches_on_grid_size():
-    psf = gaussian_psf(7, 1.0)
-    assert not ConvOperator2D(psf, (32, 32))._use_fft()
-    assert ConvOperator2D(psf, (64, 64))._use_fft()
+def _dense_conv(psf, shape):
+    """Circulant matrix of the periodic convolution, from its definition:
+    out[i, j] = sum_{a, b} psf[a, b] * x[(i - a + kh//2) % h, (j - b + kw//2) % w].
+    """
+    h, w = shape
+    kh, kw = psf.shape
+    psf = psf / psf.sum()
+    mat = np.zeros((h * w, h * w))
+    for i in range(h):
+        for j in range(w):
+            for a in range(kh):
+                for b in range(kw):
+                    src = ((i - a + kh // 2) % h) * w + (j - b + kw // 2) % w
+                    mat[i * w + j, src] += psf[a, b]
+    return mat
 
 
-def test_conv_fft_and_direct_paths_agree():
-    psf = gaussian_psf(9, 1.0)
-    fft_op = ConvOperator2D(psf, (32, 32), mode="fft")
-    dir_op = ConvOperator2D(psf, (32, 32), mode="direct")
+@pytest.mark.parametrize(
+    "psf, shape",
+    [
+        (np.random.default_rng(5).uniform(0.0, 1.0, (3, 5)), (5, 7)),
+        (gaussian_psf(9, 1.3), (16, 12)),
+    ],
+    ids=["random3x5_on_5x7", "gauss9_on_16x12"],
+)
+def test_conv_matches_dense_definition(psf, shape):
+    op = ConvOperator2D(psf, shape)
+    mat = _dense_conv(psf, shape)
     for trial in range(5):
-        x = np.random.default_rng(trial).standard_normal(1024)
-        np.testing.assert_allclose(fft_op.apply(x), dir_op.apply(x),
+        x = np.random.default_rng(trial).standard_normal(op.n_in)
+        np.testing.assert_allclose(op.apply(x), mat @ x, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(op.adjoint(x), mat.T @ x,
                                    rtol=0, atol=1e-10)
-        np.testing.assert_allclose(fft_op.adjoint(x), dir_op.adjoint(x),
-                                   rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("side", [32, 128])
+def test_conv_results_do_not_depend_on_fft_workers(side, monkeypatch):
+    op = ConvOperator2D(gaussian_psf(9, 1.0), (side, side))
+    x = np.random.default_rng(side).standard_normal(side * side)
+    outs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("VMPROX_NUM_THREADS", workers)
+        outs.append((op.apply(x), op.adjoint(x)))
+    np.testing.assert_array_equal(outs[0][0], outs[1][0])
+    np.testing.assert_array_equal(outs[0][1], outs[1][1])
+
+
+def test_import_does_not_load_ndimage():
+    src = str(Path(vmprox.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, vmprox; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(
     "op",
     [
         ConvOperator2D(gaussian_psf(7, 1.0), (16, 16)),
-        ConvOperator2D(gaussian_psf(9, 1.0), (16, 16), mode="fft"),
+        ConvOperator2D(gaussian_psf(9, 1.0), (16, 16)),
         ForwardDifference2D((16, 16)),
         Laplacian2D((16, 16)),
         TVNonnegRegularizer((16, 16), 1.0),
