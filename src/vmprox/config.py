@@ -6,7 +6,7 @@ unknown keys are rejected so typos fail loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,30 +24,27 @@ from .problems import (
     smooth_image,
 )
 from .solver import SolverConfig
+from .strategies import METRIC_STRATEGIES, STEPLENGTH_STRATEGIES
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_experiment", "deblur_data",
            "build_problem"]
 
 PROBLEM_KINDS = ("gaussian_sd", "cauchy", "compression", "toy1d")
-METRICS = ("identity", "sg", "majorant")
-STEPLENGTHS = ("bb", "ritz")
+METRICS = tuple(METRIC_STRATEGIES)
+STEPLENGTHS = tuple(STEPLENGTH_STRATEGIES)
+
+# Solver-section keys beyond the SolverConfig fields, with their defaults.
+_RUN_DEFAULTS = {
+    "metric": "identity",
+    "steplength": "bb",
+    "ritz_window": 3,
+    "inner_limit": 5000,
+    "warm_start": True,
+}
 
 _SOLVER_KEYS = {
-    "alpha_min": float,
-    "alpha_max": float,
-    "mu": float,
-    "delta": float,
-    "beta": float,
-    "gamma": float,
-    "tau": float,
-    "max_outer_iters": int,
-    "max_backtracks": int,
-    "stop_tol": float,
-    "metric": str,
-    "steplength": str,
-    "ritz_window": int,
-    "inner_limit": int,
-    "warm_start": bool,
+    **{f.name: type(f.default) for f in fields(SolverConfig)},
+    **{key: type(value) for key, value in _RUN_DEFAULTS.items()},
 }
 
 _PROBLEM_KEYS = {
@@ -140,15 +137,20 @@ class ExperimentConfig:
 
         solver_raw = _section(raw, "solver")
         _check_keys("solver", solver_raw, _SOLVER_KEYS)
-        metric = solver_raw.pop("metric", "identity")
-        steplength = solver_raw.pop("steplength", "bb")
-        ritz_window = solver_raw.pop("ritz_window", 3)
-        inner_limit = solver_raw.pop("inner_limit", 5000)
-        warm_start = solver_raw.pop("warm_start", True)
-        if metric not in METRICS:
+        run = {key: solver_raw.pop(key, value)
+               for key, value in _RUN_DEFAULTS.items()}
+        if run["metric"] not in METRICS:
             raise ConfigError(f"solver.metric must be one of {METRICS}")
-        if steplength not in STEPLENGTHS:
+        scalable = METRIC_STRATEGIES[run["metric"]].kinds
+        if scalable is not None and kind not in scalable:
+            raise ConfigError(
+                f"solver.metric {run['metric']!r} needs problem.kind in "
+                f"{scalable}, got {kind!r}"
+            )
+        if run["steplength"] not in STEPLENGTHS:
             raise ConfigError(f"solver.steplength must be one of {STEPLENGTHS}")
+        if run["ritz_window"] < 1:
+            raise ConfigError("solver.ritz_window must be at least 1")
         seed = raw.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigError("seed must be an integer")
@@ -161,18 +163,8 @@ class ExperimentConfig:
             solver = SolverConfig(**solver_raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid solver settings: {exc}") from exc
-        return cls(
-            problem=problem,
-            solver=solver,
-            metric=metric,
-            steplength=steplength,
-            ritz_window=ritz_window,
-            inner_limit=inner_limit,
-            warm_start=warm_start,
-            seed=seed,
-            audit=audit,
-            output=output,
-        )
+        return cls(problem=problem, solver=solver, seed=seed, audit=audit,
+                   output=output, **run)
 
 
 def load_experiment(path):
@@ -185,6 +177,12 @@ def load_experiment(path):
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     return ExperimentConfig.from_dict(raw)
+
+
+def _given(p, *keys):
+    """The entries of ``p`` among ``keys``: omitted model parameters take
+    the defaults of the constructor they are passed to."""
+    return {key: p[key] for key in keys if key in p}
 
 
 _SYNTHETIC_IMAGES = {
@@ -231,13 +229,8 @@ def deblur_data(cfg: ExperimentConfig, base_dir="."):
         observed = pgm.read_image(path).ravel()
     else:
         observed = degrade_synthetic(
-            truth.ravel(),
-            H,
-            p["kind"],
-            cfg.seed,
-            a=p.get("a", 1.0),
-            b=p.get("b", 1.0),
-            gamma_noise=p.get("gamma_noise", 0.02),
+            truth.ravel(), H, p["kind"], cfg.seed,
+            **_given(p, "a", "b", "gamma_noise"),
         )
     if p.get("clip_observed", False):
         observed = np.clip(observed, 0.0, 1.0)
@@ -261,10 +254,7 @@ def build_problem(cfg: ExperimentConfig, base_dir="."):
         truth = _load_base_image(p.get("image"), p.get("size"), base_dir)
         shape = truth.shape
         problem = MaskCompressionProblem(
-            truth.ravel(),
-            shape,
-            lambda_reg=p.get("lambda_reg", 0.01),
-            box_upper=p.get("box_upper", 1.5),
+            truth.ravel(), shape, **_given(p, "lambda_reg", "box_upper")
         )
         x0 = np.full(problem.n, p.get("x0_value", 1.0))
         return problem, truth.ravel(), None, x0, shape
@@ -274,25 +264,10 @@ def build_problem(cfg: ExperimentConfig, base_dir="."):
     # observed data supplied without an image has no ground truth
     x_true = truth.ravel() if p.get("image") or p.get("observed") is None else None
     if kind == "gaussian_sd":
-        problem = SignalDependentGaussianProblem(
-            H,
-            observed,
-            shape,
-            a=p.get("a", 1.0),
-            b=p.get("b", 1.0),
-            rho=p.get("rho", 0.03),
-            inner_limit=cfg.inner_limit,
-            warm_start=cfg.warm_start,
-        )
+        problem_cls, params = SignalDependentGaussianProblem, ("a", "b", "rho")
     else:
-        problem = CauchyDeblurProblem(
-            H,
-            observed,
-            shape,
-            gamma_noise=p.get("gamma_noise", 0.02),
-            lambda_reg=p.get("lambda_reg", 0.35),
-            inner_limit=cfg.inner_limit,
-            warm_start=cfg.warm_start,
-        )
+        problem_cls, params = CauchyDeblurProblem, ("gamma_noise", "lambda_reg")
+    problem = problem_cls(H, observed, shape, **_given(p, *params),
+                          inner_limit=cfg.inner_limit, warm_start=cfg.warm_start)
     x0 = np.maximum(observed, p.get("x0_floor", 0.0))
     return problem, x_true, observed, x0, shape

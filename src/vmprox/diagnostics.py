@@ -61,10 +61,19 @@ def _leq(lhs, rhs):
     return lhs <= rhs + TOL_ABS + TOL_REL * max(abs(lhs), abs(rhs))
 
 
+def merit_slack(f_value):
+    """Rounding residue up to which a merit value ``h_gamma`` at an iterate
+    with objective ``f_value`` counts as nonpositive, in the solver and in
+    audit 1."""
+    return 1e-10 * (1.0 + abs(f_value))
+
+
 def _record_checks(rec, config):
-    bound = -4.0 * config.alpha_max * config.mu * (1.0 + config.tau) * rec.h_gamma
+    # audit 1 owns the sign of h_gamma; a residue it accepts bounds nothing
+    bound = (4.0 * config.alpha_max * config.mu * (1.0 + config.tau)
+             * max(0.0, -rec.h_gamma))
     return (
-        _leq(rec.h_gamma, 0.0),
+        rec.h_gamma <= merit_slack(rec.f_value),
         _leq(rec.dist_tilde**2, bound),
         _leq(rec.f_next, min(rec.f_tilde, rec.f_linesearch)),
         _leq(rec.step_norm, rec.dist_tilde),
@@ -129,8 +138,9 @@ def audit_trace(trace, config):
     point, (2) squared prox distance controlled by that merit value,
     (3) the produced iterate beats both candidate points, (4) step norm
     bounded by the prox distance, (5) monotone objective, (6) the Armijo
-    inequality at the accepted step.  Comparisons use absolute slack
-    ``1e-10`` plus relative slack ``1e-12``.
+    inequality at the accepted step.  Check (1) allows
+    :func:`merit_slack`; the others use absolute slack ``1e-10`` plus
+    relative slack ``1e-12``.
     """
     counts = {name: 0 for name in AUDIT_NAMES}
     violations = []

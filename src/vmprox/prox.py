@@ -173,7 +173,7 @@ class BoxProx:
     def solve(self, x, grad, f1_x, alpha, metric, gamma, tau, gap_tol=None):
         d = metric.diag
         z = x - alpha * grad / d
-        y = np.clip(z, self.lower, self.upper)
+        y = exact_prox_box(z, self.lower, self.upper)
         dy = y - x
         quad = 0.5 / alpha * float(np.dot(d * dy, dy))
         lin = float(np.dot(grad, dy))

@@ -96,8 +96,6 @@ class IterateState:
     f_value: float
     f1_value: float
     grad_f0: np.ndarray
-    alpha: float
-    metric: DiagonalMetric
     k: int
 
 
@@ -168,8 +166,15 @@ def armijo_backtrack(state, y_tilde, h_gamma_tilde, f1_tilde, problem, config):
 
 def solver_step(state, problem, config, metric_strategy, steplength_strategy,
                 retain_prox_points=False):
-    """One outer iteration; returns the next state and its trace record."""
-    metric = metric_strategy.metric(state.x, state.grad_f0, problem)
+    """One outer iteration; returns the next state and its trace record.
+
+    The only place proposals are clamped: the metric strategy's ``D^{-1}``
+    into ``[1/mu, mu]``, then the steplength strategy's step, which sees
+    that metric, into ``[alpha_min, alpha_max]``.
+    """
+    metric = DiagonalMetric.from_inverse_diag(
+        metric_strategy.metric(state.x, state.grad_f0, problem), config.mu
+    )
     alpha = float(
         np.clip(
             steplength_strategy.choose(state.x, state.grad_f0, metric, problem),
@@ -178,8 +183,6 @@ def solver_step(state, problem, config, metric_strategy, steplength_strategy,
         )
     )
     steplength_strategy.update(state.x, state.grad_f0, metric, alpha, problem)
-    state.alpha = alpha
-    state.metric = metric
 
     cert = problem.prox.solve(
         state.x,
@@ -190,7 +193,7 @@ def solver_step(state, problem, config, metric_strategy, steplength_strategy,
         config.gamma,
         config.tau,
     )
-    if cert.h_gamma > 1e-10 * (1.0 + abs(state.f_value)):
+    if cert.h_gamma > diagnostics.merit_slack(state.f_value):
         raise SolverError(
             f"prox certificate has positive merit value {cert.h_gamma:.3e}"
         )
@@ -226,34 +229,20 @@ def solver_step(state, problem, config, metric_strategy, steplength_strategy,
     )
     record.flags = diagnostics.iteration_flags(record, config)
 
-    next_state = IterateState(
-        x=x_next,
-        f_value=f_next,
-        f1_value=f1_next,
-        grad_f0=problem.grad_f0(x_next),
-        alpha=alpha,
-        metric=metric,
-        k=state.k + 1,
-    )
+    next_state = IterateState(x=x_next, f_value=f_next, f1_value=f1_next,
+                              grad_f0=problem.grad_f0(x_next), k=state.k + 1)
     return next_state, record
 
 
-def _initial_state(problem, config, x0):
+def _initial_state(problem, x0):
     x0 = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 has non-finite entries")
     if not problem.in_domain(x0):
         raise ValueError("x0 is infeasible")
     f1_0 = problem.f1(x0)
-    return IterateState(
-        x=x0,
-        f_value=problem.f0(x0) + f1_0,
-        f1_value=f1_0,
-        grad_f0=problem.grad_f0(x0),
-        alpha=float(np.clip(1.0, config.alpha_min, config.alpha_max)),
-        metric=DiagonalMetric.identity(x0.size, config.mu),
-        k=0,
-    )
+    return IterateState(x=x0, f_value=problem.f0(x0) + f1_0, f1_value=f1_0,
+                        grad_f0=problem.grad_f0(x0), k=0)
 
 
 def minimize(problem, config, x0, metric="identity", steplength="bb",
@@ -261,18 +250,18 @@ def minimize(problem, config, x0, metric="identity", steplength="bb",
     """Run the outer loop from ``x0``.
 
     ``metric`` and ``steplength`` may be strategy names or strategy
-    instances.  Stops after ``config.max_outer_iters`` iterations or when
+    instances; a metric strategy proposes the entries of ``D^{-1}`` and a
+    steplength strategy a steplength, and :func:`solver_step` clamps both.
+    Stops after ``config.max_outer_iters`` iterations or when
     the relative step norm drops to ``config.stop_tol``.  Returns a
     :class:`SolveResult` whose trace has one record per iteration performed.
     """
     if isinstance(metric, str):
-        metric = make_metric_strategy(metric, config.mu)
+        metric = make_metric_strategy(metric)
     if isinstance(steplength, str):
-        steplength = make_steplength_strategy(
-            steplength, config.alpha_min, config.alpha_max, window=ritz_window
-        )
+        steplength = make_steplength_strategy(steplength, window=ritz_window)
     problem.reset()
-    state = _initial_state(problem, config, x0)
+    state = _initial_state(problem, x0)
     trace = []
     for _ in range(config.max_outer_iters):
         x_prev_norm = float(np.linalg.norm(state.x))

@@ -1,16 +1,19 @@
 """Pluggable scaling-metric and steplength strategies for the solver.
 
-Metrics are diagonal: identity, split-gradient scalings for the two
-deconvolution objectives, and a Lipschitz-diagonal majorant fallback.
-Steplengths come from Barzilai-Borwein rules or from a queue of reciprocal
-Ritz values built from recent scaled reduced gradients.
+Strategies propose; :func:`vmprox.solver.solver_step` clamps.  A metric
+strategy returns the entries of a diagonal ``D^{-1}``: identity,
+split-gradient scalings for the two deconvolution objectives, or a
+Lipschitz-diagonal majorant fallback; ``kinds`` lists the problem kinds it
+can scale (``None``: all).  A steplength strategy returns a positive
+steplength from a Barzilai-Borwein rule or from a queue of reciprocal Ritz
+values built from recent scaled reduced gradients.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -54,33 +57,22 @@ class DiagonalMetric:
         diag = np.clip(1.0 / inv, 1.0 / mu, mu)
         return cls(diag, mu)
 
-    @property
-    def inv_diag(self):
-        return 1.0 / self.diag
 
-    def norm_sq(self, x):
-        """Squared D-norm: sum_i diag_i x_i^2."""
-        return float(np.dot(self.diag * x, x))
-
-    def inv_norm_sq(self, x):
-        return float(np.dot(x / self.diag, x))
-
-
-def reduced_gradient(x, grad, active_mask):
+def reduced_gradient(grad, active_mask):
     """Gradient with entries zeroed exactly on the declared active set."""
     return np.where(active_mask, 0.0, grad)
 
 
-def bb_steplength(s, y, alpha_min, alpha_max):
-    """First Barzilai-Borwein steplength ``s.s / s.y``, safeguarded.
+def bb_steplength(s, y):
+    """First Barzilai-Borwein steplength ``s.s / s.y``.
 
-    Falls back to ``alpha_max`` when the curvature estimate ``s.y`` is not
-    positive, and clamps into ``[alpha_min, alpha_max]`` otherwise.
+    Returns ``inf`` when the curvature estimate ``s.y`` is not positive; the
+    outer step clamps it to ``alpha_max``.
     """
     sty = float(np.dot(s, y))
     if sty <= 0.0:
-        return float(alpha_max)
-    return float(np.clip(np.dot(s, s) / sty, alpha_min, alpha_max))
+        return np.inf
+    return float(np.dot(s, s) / sty)
 
 
 def ritz_steplengths(history, metric, reduced_grad):
@@ -120,11 +112,11 @@ def ritz_steplengths(history, metric, reduced_grad):
     return np.sort(1.0 / pos)
 
 
-def sg_metric_gaussian(x, problem, mu):
-    """Split-gradient scaling for the signal-dependent Gaussian objective.
+def sg_metric_gaussian(x, problem):
+    """Split-gradient ``D^{-1}`` for the signal-dependent Gaussian objective.
 
-    ``D^{-1}_{ii} = clamp(x_i / (V_i + eps_mach))`` where ``V = H^T s`` is
-    the positive part of the gradient splitting.
+    ``D^{-1}_{ii} = x_i / (V_i + eps_mach)`` where ``V = H^T s`` is the
+    positive part of the gradient splitting.
     """
     x = np.asarray(x, dtype=float)
     t = problem.blur(x)
@@ -132,15 +124,15 @@ def sg_metric_gaussian(x, problem, mu):
     c = a * t + b
     s = t * (a * (t + g) + 2.0 * b) / (2.0 * c * c) + 0.5 * a / c
     V = problem.H.adjoint(s)
-    ratio = x / (V + np.finfo(float).eps)
-    return DiagonalMetric.from_inverse_diag(ratio, mu)
+    return x / (V + np.finfo(float).eps)
 
 
-def sg_metric_cauchy(x, problem, mu):
-    """Split-gradient scaling for the Cauchy-noise objective.
+def sg_metric_cauchy(x, problem):
+    """Split-gradient ``D^{-1}`` for the Cauchy-noise objective.
 
-    ``D^{-1}_{ii} = clamp(x_i / V_i)`` with ``V = lambda H^T s`` and
-    ``s_i = (Hx)_i / (gamma^2 + ((Hx)_i - g_i)^2)``.
+    ``D^{-1}_{ii} = x_i / V_i`` with ``V = lambda H^T s`` and
+    ``s_i = (Hx)_i / (gamma^2 + ((Hx)_i - g_i)^2)``; ``inf`` where ``V`` is
+    not positive and ``0`` where ``x`` is.
     """
     x = np.asarray(x, dtype=float)
     t = problem.blur(x)
@@ -149,157 +141,122 @@ def sg_metric_cauchy(x, problem, mu):
     V = problem.lambda_reg * problem.H.adjoint(s)
     ratio = np.divide(x, V, out=np.full(x.shape, np.inf), where=V > 0)
     ratio[x == 0.0] = 0.0
-    return DiagonalMetric.from_inverse_diag(ratio, mu)
+    return ratio
 
 
-def majorant_diag_metric(problem, mu):
-    """Constant Lipschitz-diagonal scaling ``D^{-1} = c I``.
+def majorant_diag_metric(problem):
+    """Constant Lipschitz-diagonal ``D^{-1} = c I``.
 
     ``c`` multiplies a bound on the componentwise curvature of the misfit by
     the squared operator norm of the blur.  This is a documented fallback,
     not a majorization-minimization matrix; runs using it are flagged in
     their summaries.
     """
-    c = problem.curvature_bound() * problem.h_norm_sq
-    inv = np.full(problem.n, c)
-    return DiagonalMetric.from_inverse_diag(inv, mu)
+    return np.full(problem.n, problem.curvature_bound() * problem.h_norm_sq)
+
+
+def _check_kind(strategy, problem):
+    if problem.kind not in strategy.kinds:
+        raise ValueError(f"no {type(strategy).__name__} for kind {problem.kind!r}")
 
 
 class IdentityMetricStrategy:
-    name = "identity"
-
-    def __init__(self, mu):
-        self.mu = float(mu)
+    kinds = None
 
     def metric(self, x, grad, problem):
-        return DiagonalMetric.identity(problem.n, self.mu)
+        return np.ones(problem.n)
 
 
 class SplitGradientMetricStrategy:
-    name = "sg"
-
-    def __init__(self, mu):
-        self.mu = float(mu)
+    kinds = ("gaussian_sd", "cauchy")
 
     def metric(self, x, grad, problem):
+        _check_kind(self, problem)
         if problem.kind == "gaussian_sd":
-            return sg_metric_gaussian(x, problem, self.mu)
-        if problem.kind == "cauchy":
-            return sg_metric_cauchy(x, problem, self.mu)
-        raise ValueError(
-            f"no split-gradient metric for problem kind {problem.kind!r}"
-        )
+            return sg_metric_gaussian(x, problem)
+        return sg_metric_cauchy(x, problem)
 
 
 class MajorantMetricStrategy:
-    name = "majorant"
+    kinds = ("gaussian_sd", "cauchy")
 
-    def __init__(self, mu):
-        self.mu = float(mu)
+    def __init__(self):
         self._cached = None
 
     def metric(self, x, grad, problem):
         if self._cached is None:
-            self._cached = majorant_diag_metric(problem, self.mu)
+            _check_kind(self, problem)
+            self._cached = majorant_diag_metric(problem)
         return self._cached
 
 
 class BBSteplengthStrategy:
-    """First Barzilai-Borwein rule with alpha_0 = 1 (clamped)."""
+    """First Barzilai-Borwein rule with alpha_0 = 1."""
 
-    name = "bb"
-
-    def __init__(self, alpha_min, alpha_max):
-        self.alpha_min = float(alpha_min)
-        self.alpha_max = float(alpha_max)
+    def __init__(self):
         self._prev_x = None
         self._prev_grad = None
 
     def choose(self, x, grad, metric, problem):
         if self._prev_x is None:
-            return float(np.clip(1.0, self.alpha_min, self.alpha_max))
-        s = x - self._prev_x
-        y = grad - self._prev_grad
-        return bb_steplength(s, y, self.alpha_min, self.alpha_max)
+            return 1.0
+        return bb_steplength(x - self._prev_x, grad - self._prev_grad)
 
     def update(self, x, grad, metric, alpha_used, problem):
         self._prev_x = np.array(x)
         self._prev_grad = np.array(grad)
 
 
-@dataclass
-class SteplengthMemory:
-    """Ring buffer of (steplength, scaled reduced gradient) pairs plus the
-    queue of pending reciprocal Ritz values."""
-
-    window: int = 3
-    history: deque = field(default_factory=deque)
-    queue: deque = field(default_factory=deque)
-
-    def push(self, alpha, scaled_grad):
-        self.history.append((float(alpha), scaled_grad))
-        while len(self.history) > self.window:
-            self.history.popleft()
-
-    @property
-    def full(self):
-        return len(self.history) == self.window
-
-
 class RitzSteplengthStrategy:
     """Steplengths from reciprocal Ritz values, one consumed per iteration.
 
-    The queue is rebuilt from the most recent ``window`` scaled reduced
-    gradients whenever it runs empty; before the window fills (and on
-    factorization failure) the strategy falls back to the BB1 rule.
-    Steplengths are consumed smallest first.
+    ``history`` keeps the most recent ``window`` pairs of steplength and
+    scaled reduced gradient; ``queue`` the pending reciprocal Ritz values,
+    rebuilt from a full window whenever it runs empty.  Before the window
+    fills (and on factorization failure) the strategy falls back to the BB1
+    rule.  Steplengths are consumed smallest first.
     """
 
-    name = "ritz"
-
-    def __init__(self, alpha_min, alpha_max, window=3):
+    def __init__(self, window=3):
         if window < 1:
             raise ValueError("window must be at least 1")
-        self.alpha_min = float(alpha_min)
-        self.alpha_max = float(alpha_max)
-        self.memory = SteplengthMemory(window=window)
-        self._bb = BBSteplengthStrategy(alpha_min, alpha_max)
-
-    def _clamp(self, alpha):
-        return float(np.clip(alpha, self.alpha_min, self.alpha_max))
+        self.history = deque(maxlen=window)
+        self.queue = deque()
+        self._bb = BBSteplengthStrategy()
 
     def choose(self, x, grad, metric, problem):
-        if self.memory.queue:
-            return self._clamp(self.memory.queue.popleft())
-        if self.memory.full:
-            reduced = reduced_gradient(x, grad, problem.active_mask(x))
-            steps = ritz_steplengths(list(self.memory.history), metric, reduced)
+        if self.queue:
+            return float(self.queue.popleft())
+        if len(self.history) == self.history.maxlen:
+            reduced = reduced_gradient(grad, problem.active_mask(x))
+            steps = ritz_steplengths(list(self.history), metric, reduced)
             if steps is not None:
-                self.memory.queue.extend(steps)
-                return self._clamp(self.memory.queue.popleft())
+                self.queue.extend(steps)
+                return float(self.queue.popleft())
             logger.info("Ritz window rank deficient; falling back to BB1")
         return self._bb.choose(x, grad, metric, problem)
 
     def update(self, x, grad, metric, alpha_used, problem):
-        reduced = reduced_gradient(x, grad, problem.active_mask(x))
-        self.memory.push(alpha_used, np.sqrt(metric.diag) * reduced)
+        reduced = reduced_gradient(grad, problem.active_mask(x))
+        self.history.append((float(alpha_used), np.sqrt(metric.diag) * reduced))
         self._bb.update(x, grad, metric, alpha_used, problem)
 
 
-def make_metric_strategy(name, mu):
-    strategies = {
-        "identity": IdentityMetricStrategy,
-        "sg": SplitGradientMetricStrategy,
-        "majorant": MajorantMetricStrategy,
-    }
-    if name not in strategies:
+METRIC_STRATEGIES = {
+    "identity": IdentityMetricStrategy,
+    "sg": SplitGradientMetricStrategy,
+    "majorant": MajorantMetricStrategy,
+}
+STEPLENGTH_STRATEGIES = {"bb": BBSteplengthStrategy, "ritz": RitzSteplengthStrategy}
+
+
+def make_metric_strategy(name):
+    if name not in METRIC_STRATEGIES:
         raise ValueError(f"unknown metric strategy {name!r}")
-    return strategies[name](mu)
+    return METRIC_STRATEGIES[name]()
 
 
-def make_steplength_strategy(name, alpha_min, alpha_max, window=3):
-    if name == "bb":
-        return BBSteplengthStrategy(alpha_min, alpha_max)
-    if name == "ritz":
-        return RitzSteplengthStrategy(alpha_min, alpha_max, window=window)
-    raise ValueError(f"unknown steplength strategy {name!r}")
+def make_steplength_strategy(name, window=3):
+    if name not in STEPLENGTH_STRATEGIES:
+        raise ValueError(f"unknown steplength strategy {name!r}")
+    return RitzSteplengthStrategy(window) if name == "ritz" else BBSteplengthStrategy()

@@ -112,6 +112,25 @@ class TestSolve:
         )
         assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("kind, solver, message", [
+        ("compression", "metric: sg", "solver.metric 'sg' needs problem.kind"),
+        ("toy1d", "metric: sg", "solver.metric 'sg' needs problem.kind"),
+        ("compression", "metric: majorant",
+         "solver.metric 'majorant' needs problem.kind"),
+        ("toy1d", "metric: majorant",
+         "solver.metric 'majorant' needs problem.kind"),
+        ("cauchy", "steplength: ritz\n  ritz_window: 0",
+         "solver.ritz_window must be at least 1"),
+    ], ids=["sg-compression", "sg-toy1d", "majorant-compression",
+            "majorant-toy1d", "ritz-window-0"])
+    def test_strategy_mismatch_is_config_error(self, tmp_path, capsys, kind,
+                                               solver, message):
+        cfg = _write(tmp_path, "bad.yaml",
+                     f"problem:\n  kind: {kind}\n  size: [16, 16]\n"
+                     f"solver:\n  {solver}\n")
+        assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_byte_identical_traces_same_seed(self, tmp_path):
         for run in ("a", "b"):
             cfg = _write(

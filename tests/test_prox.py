@@ -30,7 +30,7 @@ def _h_value(y, x, grad, f1_x, alpha, metric, reg):
     dy = y - x
     return (
         float(np.dot(grad, dy))
-        + 0.5 / alpha * metric.norm_sq(dy)
+        + 0.5 / alpha * float(np.dot(metric.diag * dy, dy))
         + reg.f1(y)
         - f1_x
     )

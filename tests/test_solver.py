@@ -32,7 +32,7 @@ from vmprox.strategies import (
 )
 
 
-def _toy_state(x=0.0, alpha=1.0):
+def _toy_state(x=0.0):
     p = Toy1DBoxProblem()
     xv = np.array([float(x)])
     return p, IterateState(
@@ -40,8 +40,6 @@ def _toy_state(x=0.0, alpha=1.0):
         f_value=p.f(xv),
         f1_value=0.0,
         grad_f0=p.grad_f0(xv),
-        alpha=alpha,
-        metric=DiagonalMetric.identity(1, 1e10),
         k=0,
     )
 
@@ -106,10 +104,12 @@ class TestSolverConfig:
             SolverConfig(**kwargs)
 
 
-def _toy_certificate(p, st, gamma=1.0):
-    """The certificate the solver gets for the toy state's prox step."""
-    return p.prox.solve(st.x, st.grad_f0, st.f1_value, st.alpha, st.metric,
-                        gamma, 1e6 - 1)
+def _toy_certificate(p, st, gamma=1.0, metric=None):
+    """The certificate the solver gets for the toy state's prox step at
+    ``alpha = 1`` (identity metric unless given)."""
+    metric = DiagonalMetric.identity(1, 1e10) if metric is None else metric
+    return p.prox.solve(st.x, st.grad_f0, st.f1_value, 1.0, metric, gamma,
+                        1e6 - 1)
 
 
 class TestEvalHGamma:
@@ -157,8 +157,8 @@ class TestProximalTarget:
 
     def test_entrywise_metric_division(self):
         p, st = _toy_state()
-        st.metric = DiagonalMetric(np.array([2.0]), 10.0)
-        assert _toy_certificate(p, st).y_tilde[0] == 1.0
+        metric = DiagonalMetric(np.array([2.0]), 10.0)
+        assert _toy_certificate(p, st, metric=metric).y_tilde[0] == 1.0
 
 
 class TestArmijo:
@@ -184,7 +184,6 @@ class TestArmijo:
         p = _QuadProblem()
         x = np.array([1.0, 0.0])
         st = IterateState(x=x, f_value=0.5, f1_value=0.0, grad_f0=x.copy(),
-                          alpha=1.0, metric=DiagonalMetric.identity(2, 10.0),
                           k=0)
         # prox target is the origin; h_gamma there is -1/2
         lam, f_new, bts, *_ = armijo_backtrack(st, np.zeros(2), -0.5, 0.0, p,
@@ -195,8 +194,7 @@ class TestArmijo:
         p = Toy1DBoxProblem()
         x = np.array([10.0])
         st = IterateState(x=x, f_value=p.f(x), f1_value=0.0,
-                          grad_f0=p.grad_f0(x), alpha=1.0,
-                          metric=DiagonalMetric.identity(1, 1e10), k=0)
+                          grad_f0=p.grad_f0(x), k=0)
         lam, f_new, _, probe, _, _ = armijo_backtrack(
             st, np.array([0.0]), -1e-9, 0.0, p, SolverConfig())
         assert 0.0 <= probe[0] <= 10.0
@@ -336,9 +334,8 @@ class TestMinimize:
             p,
             cfg,
             np.array([0.0]),
-            metric=IdentityMetricStrategy(cfg.mu),
-            steplength=make_steplength_strategy("bb", cfg.alpha_min,
-                                                cfg.alpha_max),
+            metric=IdentityMetricStrategy(),
+            steplength=make_steplength_strategy("bb"),
         )
         assert res.trace
 

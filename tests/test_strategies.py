@@ -3,9 +3,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from vmprox.problems import Problem
+from vmprox.prox import BoxProx
+from vmprox.solver import SolverConfig, minimize
 from vmprox.strategies import (
     BBSteplengthStrategy,
     DiagonalMetric,
+    IdentityMetricStrategy,
     MajorantMetricStrategy,
     RitzSteplengthStrategy,
     SplitGradientMetricStrategy,
@@ -22,6 +26,65 @@ from vmprox.strategies import (
 
 class _Stub:
     """Duck-typed problem carrying just what a strategy needs."""
+
+
+class _QuadProblem(Problem):
+    """f0 = sum_i c_i x_i^2 / 2 over a huge box (effectively unconstrained)."""
+
+    kind = "quad"
+
+    def __init__(self, n, c=1.0):
+        self.n = n
+        self.c = c
+        self.prox = BoxProx(-1e12, 1e12)
+
+    def f0(self, x):
+        return 0.5 * float(np.dot(self.c * x, x))
+
+    def grad_f0(self, x):
+        return self.c * np.asarray(x, dtype=float)
+
+    def active_mask(self, x):
+        return np.zeros_like(x, dtype=bool)
+
+
+class _Proposer:
+    """Metric and steplength strategy in one: proposes a fixed ``D^{-1}``
+    (the identity when ``None``) and the given steplengths in turn, and
+    records the metric the outer step hands back."""
+
+    def __init__(self, inv_diag=None, steps=(1.0,)):
+        self.inv_diag = inv_diag
+        self.steps = list(steps)
+        self.metrics = []
+
+    def metric(self, x, grad, problem):
+        if self.inv_diag is None:
+            return np.ones(problem.n)
+        return np.asarray(self.inv_diag, dtype=float)
+
+    def choose(self, x, grad, metric, problem):
+        self.metrics.append(metric.diag.copy())
+        return self.steps[(len(self.metrics) - 1) % len(self.steps)]
+
+    def update(self, x, grad, metric, alpha_used, problem):
+        pass
+
+
+def _clamped(proposer, n=1, iters=1, **config):
+    """Trace steplengths and the metrics seen when ``proposer`` drives the
+    outer loop on a quadratic: what the solver makes of its proposals."""
+    cfg = SolverConfig(max_outer_iters=iters, stop_tol=0.0, **config)
+    res = minimize(_QuadProblem(n), cfg, np.ones(n), metric=proposer,
+                   steplength=proposer)
+    return [r.alpha for r in res.trace], proposer.metrics
+
+
+def _clamped_metric(inv_diag, mu):
+    """The metric the solver builds from the proposal ``inv_diag``."""
+    inv_diag = np.asarray(inv_diag, dtype=float)
+    _, metrics = _clamped(_Proposer(inv_diag), n=inv_diag.size, mu=mu)
+    return metrics[0]
 
 
 def _identity(x):
@@ -56,68 +119,64 @@ class TestDiagonalMetric:
     def test_clamping(self):
         m = DiagonalMetric.from_inverse_diag(np.array([1e-30, 1.0, 1e30]), 1e3)
         assert np.all(m.diag >= 1e-3) and np.all(m.diag <= 1e3)
-        inv = m.inv_diag
+        inv = 1.0 / m.diag
         assert np.all(inv >= 1e-3) and np.all(inv <= 1e3)
 
     def test_mu_one_collapses_to_identity_bitwise(self):
         m = DiagonalMetric.from_inverse_diag(np.array([0.3, 7.0]), 1.0)
         assert np.all(m.diag == 1.0)
         x = np.array([1.7, -0.3])
-        assert m.norm_sq(x) == float(np.dot(x, x))
-
-    def test_norms(self):
-        m = DiagonalMetric(np.array([2.0, 0.5]), 4.0)
-        x = np.array([1.0, 2.0])
-        assert m.norm_sq(x) == 2.0 + 2.0
-        assert m.inv_norm_sq(x) == 0.5 + 8.0
+        assert float(np.dot(m.diag * x, x)) == float(np.dot(x, x))
 
 
 class TestReducedGradient:
     def test_interior_passthrough(self):
         g = np.array([1.0, -2.0, 3.0])
-        out = reduced_gradient(np.array([0.1, 0.2, 0.3]) , g,
-                               np.array([False, False, False]))
+        out = reduced_gradient(g, np.array([False, False, False]))
         np.testing.assert_array_equal(out, g)
 
     def test_all_active(self):
-        out = reduced_gradient(np.zeros(3), np.array([1.0, 2.0, 3.0]),
-                               np.ones(3, dtype=bool))
+        out = reduced_gradient(np.array([1.0, 2.0, 3.0]), np.ones(3, dtype=bool))
         np.testing.assert_array_equal(out, 0.0)
 
     def test_box_rule(self):
         c = np.array([0.0, 0.7, 1.5])
         grad = np.array([1.0, 2.0, 3.0])
         mask = (c == 0.0) | (c == 1.5)
-        np.testing.assert_array_equal(reduced_gradient(c, grad, mask),
+        np.testing.assert_array_equal(reduced_gradient(grad, mask),
                                       [0.0, 2.0, 0.0])
 
 
 class TestBBSteplength:
     def test_identity_hessian(self):
         s = np.array([1.0, -2.0])
-        assert bb_steplength(s, s, 1e-8, 1e8) == 1.0
+        assert bb_steplength(s, s) == 1.0
 
     def test_scaled_hessian(self):
         s = np.array([1.0, 3.0])
-        assert bb_steplength(s, 2.0 * s, 1e-8, 1e8) == 0.5
+        assert bb_steplength(s, 2.0 * s) == 0.5
 
     def test_nonpositive_curvature_falls_back(self):
         s = np.array([1.0, 0.0])
         y = np.array([-1.0, 0.0])
-        assert bb_steplength(s, y, 1e-8, 123.0) == 123.0
+        assert bb_steplength(s, y) == np.inf
+        # the outer step turns the infinite proposal into alpha_max
+        alphas, _ = _clamped(_Proposer(steps=[bb_steplength(s, y)]),
+                             alpha_min=1e-8, alpha_max=123.0)
+        assert alphas == [123.0]
 
     def test_scale_consistency(self):
         rng = np.random.default_rng(0)
         s = rng.standard_normal(6)
         y = rng.standard_normal(6)
         y = y if s @ y > 0 else -y
-        base = bb_steplength(s, y, 1e-300, 1e300)
+        base = bb_steplength(s, y)
         for c in (0.1, 2.0, 50.0):
-            scaled = bb_steplength(s, c * y, 1e-300, 1e300)
+            scaled = bb_steplength(s, c * y)
             assert scaled == pytest.approx(base / c, rel=1e-12)
 
     def test_strategy_first_iteration_is_one(self):
-        strat = BBSteplengthStrategy(1e-5, 1e2)
+        strat = BBSteplengthStrategy()
         p = _cauchy_stub(n=2)
         alpha = strat.choose(np.zeros(2), np.ones(2),
                              DiagonalMetric.identity(2, 10.0), p)
@@ -168,7 +227,7 @@ class TestRitzSteplengths:
         assert ritz_steplengths(hist, metric, np.zeros(4)) is None
 
     def test_strategy_fallback_and_queue(self):
-        strat = RitzSteplengthStrategy(1e-5, 1e2, window=2)
+        strat = RitzSteplengthStrategy(window=2)
         p = _Stub()
         p.kind = "quad"
         p.active_mask = lambda x: np.zeros_like(x, dtype=bool)
@@ -184,35 +243,42 @@ class TestRitzSteplengths:
         strat.update(x, Q @ x, metric, a1, p)
         x = x - a1 * Q @ x
         a2 = strat.choose(x, Q @ x, metric, p)  # window now full: Ritz queue
-        assert strat.memory.queue  # one value left queued
-        eigs_remaining = 1.0 / np.array(strat.memory.queue)
+        assert strat.queue  # one value left queued
+        eigs_remaining = 1.0 / np.array(strat.queue)
         assert np.all(eigs_remaining >= 1.0 - 1e-6)
         assert np.all(eigs_remaining <= 4.0 + 1e-6)
         assert 1.0 / a2 >= eigs_remaining.max() - 1e-9  # smallest step first
 
 
 class TestSGMetrics:
+    """The split-gradient functions propose ``D^{-1}``; the clamps into
+    ``[1/mu, mu]`` are checked on the metric the solver builds from it."""
+
     def test_gaussian_hand_value(self):
-        m = sg_metric_gaussian(np.array([1.0]), _gaussian_stub(), mu=1e10)
-        assert 1.0 / m.diag[0] == pytest.approx(4.0 / 3.0, rel=1e-12)
+        inv = sg_metric_gaussian(np.array([1.0]), _gaussian_stub())
+        assert inv[0] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_gaussian_zero_clamps_to_floor(self):
-        m = sg_metric_gaussian(np.zeros(1), _gaussian_stub(g=0.0), mu=100.0)
-        assert m.inv_diag[0] == pytest.approx(1.0 / 100.0)
+        inv = sg_metric_gaussian(np.zeros(1), _gaussian_stub(g=0.0))
+        assert inv[0] == 0.0
+        m = _clamped_metric(inv, mu=100.0)
+        assert 1.0 / m[0] == pytest.approx(1.0 / 100.0)
 
     def test_cauchy_hand_value(self):
-        m = sg_metric_cauchy(np.array([1.0]), _cauchy_stub(), mu=1e10)
-        assert 1.0 / m.diag[0] == pytest.approx(2.0, rel=1e-12)
+        inv = sg_metric_cauchy(np.array([1.0]), _cauchy_stub())
+        assert inv[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_cauchy_zero_clamps_to_floor(self):
-        m = sg_metric_cauchy(np.zeros(2), _cauchy_stub(n=2), mu=50.0)
-        np.testing.assert_allclose(m.inv_diag, 1.0 / 50.0)
+        inv = sg_metric_cauchy(np.zeros(2), _cauchy_stub(n=2))
+        np.testing.assert_array_equal(inv, 0.0)
+        m = _clamped_metric(inv, mu=50.0)
+        np.testing.assert_allclose(1.0 / m, 1.0 / 50.0)
 
     def test_mu_one_gives_identity(self):
-        m = sg_metric_cauchy(np.array([1.0]), _cauchy_stub(), mu=1.0)
-        assert m.diag[0] == 1.0
-        m = sg_metric_gaussian(np.array([1.0]), _gaussian_stub(), mu=1.0)
-        assert m.diag[0] == 1.0
+        inv = sg_metric_cauchy(np.array([1.0]), _cauchy_stub())
+        assert _clamped_metric(inv, mu=1.0)[0] == 1.0
+        inv = sg_metric_gaussian(np.array([1.0]), _gaussian_stub())
+        assert _clamped_metric(inv, mu=1.0)[0] == 1.0
 
     def test_membership_bounds(self):
         rng = np.random.default_rng(4)
@@ -220,14 +286,14 @@ class TestSGMetrics:
         for _ in range(10):
             x = np.abs(rng.standard_normal(16))
             x[rng.random(16) < 0.3] = 0.0
-            m = sg_metric_cauchy(x, p, mu=1e4)
-            assert np.all(m.diag >= 1e-4) and np.all(m.diag <= 1e4)
+            m = _clamped_metric(sg_metric_cauchy(x, p), mu=1e4)
+            assert np.all(m >= 1e-4) and np.all(m <= 1e4)
 
     def test_dispatch_unknown_kind(self):
-        strat = SplitGradientMetricStrategy(10.0)
+        strat = SplitGradientMetricStrategy()
         p = _Stub()
         p.kind = "compression"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="for kind 'compression'"):
             strat.metric(np.zeros(2), np.zeros(2), p)
 
 
@@ -238,45 +304,51 @@ class TestMajorantMetric:
         p = _gaussian_stub(n=4, a=0.0, b=1.0, g=0.0)
         p.curvature_bound = lambda: 1.0
         p.h_norm_sq = 1.0
-        m = majorant_diag_metric(p, mu=1e10)
-        np.testing.assert_allclose(m.diag, 1.0)
+        np.testing.assert_allclose(majorant_diag_metric(p), 1.0)
 
     def test_clamped_at_mu(self):
         p = _Stub()
         p.n = 3
         p.curvature_bound = lambda: 1e9
         p.h_norm_sq = 1e9
-        m = majorant_diag_metric(p, mu=1e3)
-        np.testing.assert_allclose(m.inv_diag, 1e3)
+        inv = majorant_diag_metric(p)
+        np.testing.assert_array_equal(inv, 1e18)
+        np.testing.assert_allclose(1.0 / _clamped_metric(inv, mu=1e3), 1e3)
 
     def test_cauchy_curvature_scaling(self):
         p = _Stub()
         p.n = 2
         p.curvature_bound = lambda: 0.35 / 0.02**2
         p.h_norm_sq = 1.0
-        m = majorant_diag_metric(p, mu=1e10)
-        np.testing.assert_allclose(m.inv_diag, 0.35 / 0.0004)
+        np.testing.assert_allclose(majorant_diag_metric(p), 0.35 / 0.0004)
 
     def test_strategy_caches(self):
         p = _gaussian_stub(n=2, a=0.0, b=1.0, g=0.0)
         p.curvature_bound = lambda: 1.0
         p.h_norm_sq = 1.0
-        strat = MajorantMetricStrategy(1e10)
+        strat = MajorantMetricStrategy()
         m1 = strat.metric(np.zeros(2), np.zeros(2), p)
         m2 = strat.metric(np.ones(2), np.ones(2), p)
         assert m1 is m2
 
+    def test_rejects_kind_like_split_gradient(self):
+        p = _Stub()
+        p.kind = "compression"
+        with pytest.raises(ValueError, match="for kind 'compression'"):
+            MajorantMetricStrategy().metric(np.zeros(2), np.zeros(2), p)
+
 
 def test_factories():
-    assert make_metric_strategy("identity", 10.0).name == "identity"
-    assert make_metric_strategy("sg", 10.0).name == "sg"
-    assert make_metric_strategy("majorant", 10.0).name == "majorant"
+    assert isinstance(make_metric_strategy("identity"), IdentityMetricStrategy)
+    assert isinstance(make_metric_strategy("sg"), SplitGradientMetricStrategy)
+    assert isinstance(make_metric_strategy("majorant"), MajorantMetricStrategy)
     with pytest.raises(ValueError):
-        make_metric_strategy("mm", 10.0)
-    assert make_steplength_strategy("bb", 1e-5, 1e2).name == "bb"
-    assert make_steplength_strategy("ritz", 1e-5, 1e2, window=5).name == "ritz"
+        make_metric_strategy("mm")
+    assert isinstance(make_steplength_strategy("bb"), BBSteplengthStrategy)
+    ritz = make_steplength_strategy("ritz", window=5)
+    assert isinstance(ritz, RitzSteplengthStrategy) and ritz.history.maxlen == 5
     with pytest.raises(ValueError):
-        make_steplength_strategy("fixed", 1e-5, 1e2)
+        make_steplength_strategy("fixed")
 
 
 def test_ritz_consumed_smallest_first():
@@ -295,9 +367,8 @@ def test_ritz_consumed_smallest_first():
     assert steps is not None and len(steps) >= 2
 
     def drain():
-        strat = RitzSteplengthStrategy(1e-10, 1e10, window=3)
-        for alpha, g in hist:
-            strat.memory.push(alpha, g)
+        strat = RitzSteplengthStrategy(window=3)
+        strat.history.extend(hist)
         p = _Stub()
         p.active_mask = lambda v: np.zeros_like(v, dtype=bool)
         return [strat.choose(x, Q @ x, metric, p) for _ in range(len(steps))]
@@ -308,15 +379,33 @@ def test_ritz_consumed_smallest_first():
 
 
 def test_all_emitted_steplengths_clamped():
-    strat = RitzSteplengthStrategy(0.2, 0.4, window=2)
-    p = _Stub()
-    p.active_mask = lambda x: np.zeros_like(x, dtype=bool)
-    metric = DiagonalMetric.identity(2, 10.0)
+    proposed = []
+
+    class Recorded(RitzSteplengthStrategy):
+        def choose(self, *args):
+            proposed.append(super().choose(*args))
+            return proposed[-1]
+
     rng = np.random.default_rng(9)
-    x = rng.standard_normal(2)
-    for _ in range(8):
-        g = 3.0 * x
-        a = strat.choose(x, g, metric, p)
-        assert 0.2 <= a <= 0.4
-        strat.update(x, g, metric, a, p)
-        x = x - a * g
+    cfg = SolverConfig(alpha_min=0.2, alpha_max=0.4, mu=10.0,
+                       max_outer_iters=8, stop_tol=0.0)
+    res = minimize(_QuadProblem(2, c=np.array([3.0, 1.0])), cfg,
+                   rng.standard_normal(2),
+                   metric="identity", steplength=Recorded(window=2))
+    assert len(res.trace) == 8
+    assert max(proposed) > 0.4  # alpha_0 = 1 is proposed and clamped
+    for rec in res.trace:
+        assert 0.2 <= rec.alpha <= 0.4
+
+
+def test_solver_clamps_step_proposals():
+    alphas, _ = _clamped(_Proposer(steps=[np.inf, 0.0]), iters=2,
+                         alpha_min=1e-3, alpha_max=50.0)
+    assert alphas == [50.0, 1e-3]
+
+
+def test_solver_clamps_metric_proposals():
+    # D^{-1} = [0, 1, inf] gives D = [100, 1, 0.01] at mu = 100, and the
+    # steplength strategy receives that clamped metric
+    m = _clamped_metric([0.0, 1.0, np.inf], mu=100.0)
+    np.testing.assert_array_equal(m, [100.0, 1.0, 0.01])
