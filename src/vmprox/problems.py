@@ -210,6 +210,50 @@ class CauchyDeblurProblem(DeblurProblem):
         return self.lambda_reg / self.gamma_noise**2
 
 
+class _ColumnOrder:
+    """COLAMD's column order for one zero pattern, applied as the symmetric
+    reordering ``A[perm][:, perm]`` that SuperLU then factors in natural
+    order.
+
+    Relabelling the rows too keeps SuperLU's preferred pivot on the diagonal
+    of ``A``, and keeping each column's rows in their order in ``A`` makes
+    its symbolic search visit them in the same order.  So the pivots, ties
+    included, and every floating-point operation match ``splu(A)``.
+    """
+
+    def __init__(self, A, perm_c):
+        perm_c = np.asarray(perm_c)
+        self.perm = np.argsort(perm_c)  # ordered column j is column perm[j]
+        counts = np.diff(A.indptr)[self.perm]
+        self.indptr = np.concatenate([[0], np.cumsum(counts)])
+        self.gather = (np.repeat(A.indptr[self.perm] - self.indptr[:-1], counts)
+                       + np.arange(A.nnz))
+        self.indices = perm_c[A.indices[self.gather]]
+
+    def apply(self, A):
+        """``A[perm][:, perm]`` for a matrix ``A`` of this zero pattern."""
+        B = scipy.sparse.csc_matrix(
+            (A.data[self.gather], self.indices, self.indptr), shape=A.shape)
+        B.has_canonical_format = True  # splu must not sort the rows
+        return B
+
+
+class _OrderedLU:
+    """Solves with ``A`` through a SuperLU factor of ``A`` itself (``perm``
+    None) or of ``A[perm][:, perm]``."""
+
+    def __init__(self, lu, perm):
+        self.lu = lu
+        self.perm = perm
+
+    def solve(self, b, trans="N"):
+        if self.perm is None:
+            return self.lu.solve(b, trans=trans)
+        x = np.empty_like(b)
+        x[self.perm] = self.lu.solve(b[self.perm], trans=trans)
+        return x
+
+
 class MaskCompressionProblem(Problem):
     """Interpolation-mask selection for linear-diffusion image compression.
 
@@ -221,6 +265,13 @@ class MaskCompressionProblem(Problem):
 
     Linear systems are solved by sparse LU with one iterative-refinement
     pass; residuals beyond ``solve_rtol`` raise :class:`LinearSolveError`.
+    ``A(c)`` is assembled on the fixed 5-point pattern of ``L``, dropping
+    exact zeros.  The column order that COLAMD picks depends only on which
+    entries are zero, so it is computed once per zero pattern and reused;
+    the factors, and hence every solution, are bit-identical to factoring
+    each ``A(c)`` from scratch.  The last factorization and the column
+    orders are released by :meth:`reset`, which ``minimize`` calls when the
+    solve ends, and by :meth:`reconstruction`.
     """
 
     kind = "compression"
@@ -237,18 +288,53 @@ class MaskCompressionProblem(Problem):
         self.box_upper = float(box_upper)
         self.L = Laplacian2D(shape).sparse()
         self.prox = BoxProx(0.0, box_upper)
+        # L in canonical CSC; its diagonal is nonzero on every grid
+        Lc = self.L.tocsc()
+        self._rows, self._indptr, self._lvals = Lc.indices, Lc.indptr, Lc.data
+        self._diag = np.flatnonzero(
+            Lc.indices == np.repeat(np.arange(self.n), np.diff(Lc.indptr)))
+        self._orders = {}  # zero pattern -> _ColumnOrder
         self._cache_key = None
         self._cache = None
+
+    def reset(self):
+        super().reset()
+        self._orders = {}
+        self._cache_key = None
+        self._cache = None
+
+    def _assemble(self, c):
+        """Canonical CSC ``A(c) = C + (C - I) L`` without exact zeros, and
+        its zero pattern as a key.  Each entry is computed as
+        ``diags(c) + diags(c - 1) @ L`` computes it: ``(c_i - 1) L_ij`` plus
+        ``c_i`` on the diagonal."""
+        data = (c[self._rows] - 1.0) * self._lvals
+        data[self._diag] += c
+        keep = data != 0.0
+        ends = np.concatenate([[0], np.cumsum(keep)])
+        A = scipy.sparse.csc_matrix(
+            (data[keep], self._rows[keep], ends[self._indptr]),
+            shape=(self.n, self.n))
+        return A, keep.tobytes()
+
+    def _factor(self, A, key):
+        order = self._orders.get(key)
+        if order is None:
+            lu = scipy.sparse.linalg.splu(A)
+            self._orders[key] = _ColumnOrder(A, lu.perm_c)
+            return _OrderedLU(lu, None)
+        return _OrderedLU(scipy.sparse.linalg.splu(order.apply(A),
+                                                   permc_spec="NATURAL"),
+                          order.perm)
 
     def _system(self, c):
         key = c.tobytes()
         if key == self._cache_key:
             return self._cache
-        C = scipy.sparse.diags(c)
-        A = (C + scipy.sparse.diags(c - 1.0) @ self.L).tocsc()
+        A, pattern = self._assemble(c)
         rhs = c * self.u0
         try:
-            lu = scipy.sparse.linalg.splu(A)
+            lu = self._factor(A, pattern)
         except RuntimeError as exc:
             raise LinearSolveError(
                 f"diffusion system factorization failed: {exc}", np.inf
@@ -271,9 +357,11 @@ class MaskCompressionProblem(Problem):
         return self._cache
 
     def reconstruction(self, c):
-        """Diffusion reconstruction ``A(c)^{-1} C u0``."""
+        """Diffusion reconstruction ``A(c)^{-1} C u0``.  It is asked for
+        after a solve, so it leaves no factorization behind."""
         c = np.asarray(c, dtype=float).ravel()
         _, _, u = self._system(c)
+        self.reset()
         return u
 
     def f0(self, x):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from vmprox.diagnostics import fd_gradient_check
 from vmprox.operators import ConvOperator2D, LinearOperator, gaussian_psf
@@ -210,6 +212,98 @@ class TestCompression:
         c = np.array([0.0, 0.7, 1.5, 1.2])
         np.testing.assert_array_equal(p.active_mask(c),
                                       [True, False, True, False])
+
+
+def _old_system(p, c):
+    """``MaskCompressionProblem._system`` as it was before the assembly on
+    the fixed pattern and the reused column orders: a fresh COLAMD
+    factorization of ``diags(c) + diags(c - 1) @ L`` for every mask."""
+    A = (scipy.sparse.diags(c) + scipy.sparse.diags(c - 1.0) @ p.L).tocsc()
+    lu = scipy.sparse.linalg.splu(A)
+    rhs = c * p.u0
+    u = lu.solve(rhs)
+    if np.linalg.norm(A @ u - rhs) > p.solve_rtol * max(1.0, np.linalg.norm(rhs)):
+        u = u + lu.solve(rhs - A @ u)
+    return A, lu, u
+
+
+def _edge_mask(shape):
+    h, w = shape
+    edge = np.zeros(shape, dtype=bool)
+    edge[[0, -1], :] = edge[:, [0, -1]] = True
+    return edge.ravel()
+
+
+class TestCompressionBitIdentity:
+    """Assembly on the fixed pattern and the per-pattern column order give
+    the same matrices, solutions, values and gradients, bit for bit, as a
+    fresh ``splu`` of the scipy-assembled matrix."""
+
+    @staticmethod
+    def _masks(shape, rng):
+        n = shape[0] * shape[1]
+        edge = _edge_mask(shape)
+        bases = []
+        for exact in ((0.0, 1.0, 1.5), (1.5, 0.0)):
+            c = rng.uniform(0.05, 1.45, n)
+            pick = rng.random(n) < 0.4
+            c[pick] = rng.choice(exact, pick.sum())
+            c[edge & (rng.random(n) < 0.5)] = 1.5  # zero diagonal entries
+            bases.append(c)
+        bases.append(rng.choice([0.0, 1.0, 1.5], n))  # exact values only
+        masks = []
+        for t in range(12):
+            c = bases[t % 2 if t < 8 else t % 3].copy()
+            free = (c != 0.0) & (c != 1.0) & (c != 1.5)
+            c[free] = rng.uniform(0.05, 1.45, free.sum())  # same zero pattern
+            masks.append(c)
+        return masks
+
+    @staticmethod
+    def _bits(a):
+        return np.asarray(a, dtype=float).view(np.int64)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (5, 7), (12, 9)])
+    def test_matches_fresh_factorization(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        p = MaskCompressionProblem(smooth_image(shape), shape, lambda_reg=0.01)
+        masks = self._masks(shape, rng)
+        solved = 0
+        for c in masks:
+            try:
+                A0, lu0, u0 = _old_system(p, c)
+            except RuntimeError:  # exactly singular: both paths refuse it
+                with pytest.raises(LinearSolveError, match="singular"):
+                    p._system(c)
+                continue
+            solved += 1
+            r = u0 - p.u0
+            f0 = 0.5 * float(np.dot(r, r)) + p.lambda_reg * float(np.sum(c))
+            w = lu0.solve(r, trans="T")
+            g0 = -w * (u0 + p.L @ u0 - p.u0) + p.lambda_reg
+
+            A, _, u = p._system(c)
+            np.testing.assert_array_equal(A.indptr, A0.indptr)
+            np.testing.assert_array_equal(A.indices, A0.indices)
+            np.testing.assert_array_equal(self._bits(A.data), self._bits(A0.data))
+            np.testing.assert_array_equal(self._bits(u), self._bits(u0))
+            assert self._bits(p.f0(c)) == self._bits(f0)
+            np.testing.assert_array_equal(self._bits(p.grad_f0(c)), self._bits(g0))
+        # every mask was a new point; each zero pattern was ordered once and
+        # the other masks of that pattern reused the order
+        assert solved >= 8 and 2 <= len(p._orders) <= 3
+
+    def test_reset_and_reconstruction_release_the_factor(self):
+        shape = (6, 6)
+        p = MaskCompressionProblem(smooth_image(shape), shape)
+        c = np.full(36, 0.5)
+        p.f0(c)
+        assert p._cache is not None and p._orders
+        p.reset()
+        assert p._cache is None and not p._orders
+        u = p.reconstruction(c)
+        np.testing.assert_array_equal(u, _old_system(p, c)[2])
+        assert p._cache is None and not p._orders
 
 
 class TestToy1D:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from vmprox.config import build_problem, load_experiment
 from vmprox.diagnostics import audit_trace
@@ -438,6 +439,21 @@ class TestEvaluationCounts:
         cfg = load_experiment(preset)
         problem, _, _, x0, _ = build_problem(cfg, preset.parent)
         calls = self._counters(monkeypatch, problem)
+        probed, patterns, factorizations = set(), set(), []
+        system, splu = problem._system, scipy.sparse.linalg.splu
+
+        def recorded_system(c):
+            A, lu, u = system(c)
+            probed.add(c.tobytes())
+            patterns.add(A.indices.tobytes() + A.indptr.tobytes())
+            return A, lu, u
+
+        def recorded_splu(A, permc_spec=None, **kwargs):
+            factorizations.append(permc_spec)
+            return splu(A, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(problem, "_system", recorded_system)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", recorded_splu)
         res = minimize(problem, replace(cfg.solver, max_outer_iters=20), x0,
                        metric=cfg.metric, steplength=cfg.steplength,
                        ritz_window=cfg.ritz_window)
@@ -445,3 +461,11 @@ class TestEvaluationCounts:
         assert len(res.trace) == 20 and backtracks > 0
         assert calls["f0"] == 1 + len(res.trace) + backtracks
         assert calls["tv"] == calls["pair_norms"] == 0
+        # one factorization per probed mask, and COLAMD once per zero pattern
+        colamd = sum(spec != "NATURAL" for spec in factorizations)
+        assert len(factorizations) == len(probed)
+        assert colamd == len(patterns) < len(probed)
+        # neither the finished solve nor the reconstruction keeps a factor
+        assert problem._cache is None and not problem._orders
+        problem.reconstruction(res.x)
+        assert problem._cache is None and not problem._orders
