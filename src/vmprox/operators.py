@@ -122,6 +122,12 @@ class ForwardDifference2D(LinearOperator):
     differences and the next ``h * w`` the horizontal ones, both row-major,
     with zero difference on the last row/column.  The adjoint is the
     negative discrete divergence.  Both write into ``out`` when given.
+
+    Both maps run on contiguous runs of the flat raster rather than on 2-D
+    column slices, which are several times slower.  A horizontal run also
+    touches the pairs that straddle a row end; ``apply`` zeroes them with
+    the last column, and ``adjoint`` reads a copy of ``ph`` whose last
+    column is +0.0, so every entry gets the same operations as on the grid.
     """
 
     def __init__(self, shape):
@@ -132,27 +138,35 @@ class ForwardDifference2D(LinearOperator):
 
     def apply(self, x, out=None):
         h, w = self.shape
-        u = np.asarray(x, dtype=float).reshape(h, w)
+        n = h * w
+        u = np.asarray(x, dtype=float).reshape(n)
         out = np.empty(self.n_out) if out is None else out
-        dv, dh = out.reshape(2, h, w)
-        np.subtract(u[1:, :], u[:-1, :], out=dv[:-1, :])
-        dv[-1, :] = 0.0
-        np.subtract(u[:, 1:], u[:, :-1], out=dh[:, :-1])
-        dh[:, -1] = 0.0
+        np.subtract(u[w:], u[:-w], out=out[: n - w])
+        out[n - w : n] = 0.0
+        np.subtract(u[1:], u[:-1], out=out[n : 2 * n - 1])
+        out[n : 2 * n].reshape(h, w)[:, -1] = 0.0
         return out
 
     def adjoint(self, p, out=None):
         h, w = self.shape
-        pv, ph = np.asarray(p, dtype=float).reshape(2, h, w)
+        n = h * w
+        p = np.asarray(p, dtype=float)
+        pv = p[:n]
+        ph = p[n : 2 * n].copy()  # a per-call copy, never operator state
+        ph.reshape(h, w)[:, -1] = 0.0
         out = np.empty(self.n_in) if out is None else out
-        img = out.reshape(h, w)
-        # Start from zeros and subtract: ``-p`` would turn zero entries into
-        # -0.0, and the adjoint has always returned +0.0 there.
-        img.fill(0.0)
-        img[:-1, :] -= pv[:-1, :]
-        img[1:, :] += pv[:-1, :]
-        img[:, :-1] -= ph[:, :-1]
-        img[:, 1:] += ph[:, :-1]
+        # Per entry: 0 - pv + pv_above - ph + ph_left, as on the grid;
+        # ``-pv`` would turn zero entries into -0.0 where 0 - pv gives +0.0.
+        np.subtract(0.0, pv[: n - w], out=out[: n - w])
+        out[n - w :] = 0.0
+        out[w:] += pv[: n - w]
+        # The flat runs also take the zeroed last column: one subtraction
+        # where the grid has none (exact for every value) and one addition
+        # at the first column of each row.  Adding +0.0 is exact except on
+        # -0.0, and ``out`` never holds -0.0 here: it starts from +0.0, and
+        # x - y or x + y is -0.0 only when x is.
+        out[:-1] -= ph[:-1]
+        out[1:] += ph[:-1]
         return out
 
 

@@ -28,7 +28,14 @@ __all__ = [
 
 
 class InexactProxError(RuntimeError):
-    """Dual iteration limit hit before the gap certificate was met."""
+    """Dual iteration limit hit before the gap certificate was met.
+
+    ``last_gap`` is the gap of the last candidate; ``k`` is the outer
+    iteration when the error escapes :func:`vmprox.solver.minimize`, else
+    None.
+    """
+
+    k = None
 
     def __init__(self, message, last_gap):
         super().__init__(message)
@@ -74,19 +81,29 @@ def project_dual_tv(v, rho, n):
 
     Each pixel's pair ``(pv_i, ph_i)`` is projected onto the ball of radius
     ``rho``; the last ``n`` entries are clipped to the nonpositive half-line.
-    Idempotent and nonexpansive.
+    Idempotent and nonexpansive.  Returns a new array.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (3 * n,):
         raise ValueError(f"dual vector must have length {3 * n}")
-    out = v.copy()
-    pv, ph, q = out[:n], out[n : 2 * n], out[2 * n :]
-    # rho / max(norm, rho) is exactly 1 inside the ball (x / x == 1).
-    scale = rho / np.maximum(np.hypot(pv, ph), rho) if rho > 0 else 0.0
+    return _project_dual_tv_in_place(v.copy(), rho, n, np.empty(n))
+
+
+def _project_dual_tv_in_place(v, rho, n, norms):
+    """:func:`project_dual_tv` on ``v`` itself; ``norms`` is a work array of
+    length ``n``."""
+    pv, ph, q = v[:n], v[n : 2 * n], v[2 * n :]
+    if rho > 0:
+        # rho / max(norm, rho) is exactly 1 inside the ball (x / x == 1).
+        np.hypot(pv, ph, out=norms)
+        np.maximum(norms, rho, out=norms)
+        scale = np.divide(rho, norms, out=norms)
+    else:
+        scale = 0.0
     pv *= scale
     ph *= scale
     np.minimum(q, 0.0, out=q)
-    return out
+    return v
 
 
 def _merit_lower_bound(lin, quad, dv, dh, rho, f1_x, work):
@@ -200,7 +217,9 @@ class DualTVProx:
     objective with the Chambolle-Dossal stepsize sequence
     ``t_l = (l + a - 1) / a`` (``a = 2.1``) and Lipschitz step
     ``1 / (alpha * max(D^{-1}) * ||A||^2)``, run as one loop over the planar
-    dual vector ``[pv; ph; q]`` with work arrays allocated once per call.
+    dual vector ``[pv; ph; q]``.  Each call allocates its work arrays once,
+    among them three dual buffers that rotate as the previous, current and
+    next iterate; the projection works in place and no iteration allocates.
 
     Acceptance takes the first inner iterate whose primal merit value drops
     below ``eta`` times the dual value, ``eta = 1 / (1 + tau/2)``; passing
@@ -252,9 +271,13 @@ class DualTVProx:
 
         # Only a warm-started prox keeps its last dual vector.
         v = np.zeros(reg.n_out) if self._v_prev is None else project_dual_tv(self._v_prev, rho, n)
-        v_old = v
-        u, grad_psi = np.empty(reg.n_out), np.empty(reg.n_out)
-        atv, t, y, dy, prod = (np.empty(n) for _ in range(5))
+        # Three dual buffers rotate: each iteration builds the extrapolated
+        # point in the oldest one and projects the next iterate in place in
+        # the spare one.  They are fresh per call, so a certificate's arrays
+        # are never written again.  v_old starts as a copy of v, not v
+        # itself, since u is built in its buffer.
+        v_old, v_next = v.copy(), np.empty(reg.n_out)
+        atv, t, y, dy, prod, norms = (np.empty(n) for _ in range(6))
         diff = np.empty(2 * n)
         work = np.empty((2, *reg.shape))
 
@@ -269,25 +292,27 @@ class DualTVProx:
                 t_next = (ell + a) / a
                 beta = (t_cur - 1.0) / t_next
                 # u = v + beta (v - v_old); v_new = P(u + step A(z - alpha D^-1 A^T u))
-                np.subtract(v, v_old, out=u)
+                u = np.subtract(v, v_old, out=v_old)
                 u *= beta
                 u += v
-                reg.apply(np.subtract(z, scaled_adjoint(u), out=t), grad_psi)
-                grad_psi *= step
-                grad_psi += u
-                v_old, v = v, project_dual_tv(grad_psi, rho, n)
+                reg.apply(np.subtract(z, scaled_adjoint(u), out=t), v_next)
+                v_next *= step
+                v_next += u
+                _project_dual_tv_in_place(v_next, rho, n, norms)
+                v_old, v, v_next = v, v_next, u
 
-            # Candidate P_dom(z - alpha D^{-1} A^T v): projecting onto the
-            # domain of f1 keeps the primal merit finite at every iterate.
-            np.subtract(z, scaled_adjoint(v), out=y)
-            np.maximum(y, 0.0, out=y)
+            # Candidate P_dom(w), w = z - alpha D^{-1} A^T v: projecting onto
+            # the domain of f1 keeps the primal merit finite at every
+            # iterate.  The dual value takes w before the projection:
+            # (d * w) * w equals (d * -w) * -w bit for bit.
+            w = np.subtract(z, scaled_adjoint(v), out=y)
+            np.multiply(d, w, out=prod)
+            psi = -0.5 / alpha * float(np.dot(prod, w)) + base
+            np.maximum(w, 0.0, out=y)
             np.subtract(y, x, out=dy)
             np.multiply(d, dy, out=prod)
             quad = 0.5 / alpha * float(np.dot(prod, dy))
             lin = float(np.dot(grad, dy))
-            np.subtract(t, z, out=t)
-            np.multiply(d, t, out=prod)
-            psi = -0.5 / alpha * float(np.dot(prod, t)) + base
 
             # Both acceptance tests are monotone in the merit value, so a
             # candidate failing one on a lower bound fails it exactly.
@@ -302,7 +327,7 @@ class DualTVProx:
                 hg = lin + gamma * quad + f1_y - f1_x
                 if self.warm_start:
                     self._v_prev = v
-                return ProxCertificate(y.copy(), v, h1, psi, hg,
+                return ProxCertificate(y, v, h1, psi, hg,
                                        0.5 * tau * max(0.0, -hg), ell, f1_y)
 
         if h1 is None:  # the last candidate was screened out

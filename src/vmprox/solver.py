@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagnostics
+from .prox import InexactProxError
 from .strategies import (
     DiagonalMetric,
     make_metric_strategy,
@@ -39,7 +40,13 @@ class SolverError(RuntimeError):
 
 class LinesearchError(SolverError):
     """Backtracking exhausted; finite termination is guaranteed in exact
-    arithmetic, so this signals a gradient or prox implementation bug."""
+    arithmetic, so this signals a gradient or prox implementation bug.
+
+    Escaping :func:`minimize`, it names the outer iteration ``k`` in its
+    message and attribute, as an :class:`InexactProxError` does.
+    """
+
+    k = None
 
     def __init__(self, message, probes):
         super().__init__(message)
@@ -255,6 +262,8 @@ def minimize(problem, config, x0, metric="identity", steplength="bb",
     Stops after ``config.max_outer_iters`` iterations or when
     the relative step norm drops to ``config.stop_tol``.  Returns a
     :class:`SolveResult` whose trace has one record per iteration performed.
+    An :class:`InexactProxError` or :class:`LinesearchError` leaves with the
+    failing outer iteration as its ``k`` and at the head of its message.
     """
     if isinstance(metric, str):
         metric = make_metric_strategy(metric)
@@ -265,10 +274,15 @@ def minimize(problem, config, x0, metric="identity", steplength="bb",
     trace = []
     for _ in range(config.max_outer_iters):
         x_prev_norm = float(np.linalg.norm(state.x))
-        state, record = solver_step(
-            state, problem, config, metric, steplength,
-            retain_prox_points=retain_prox_points,
-        )
+        try:
+            state, record = solver_step(
+                state, problem, config, metric, steplength,
+                retain_prox_points=retain_prox_points,
+            )
+        except (InexactProxError, LinesearchError) as exc:
+            exc.k = state.k
+            exc.args = (f"outer iteration {state.k}: {exc.args[0]}", *exc.args[1:])
+            raise
         trace.append(record)
         if x_prev_norm > 0.0:
             rel_step = record.step_norm / x_prev_norm

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from vmprox import cli, pgm
+from vmprox.config import build_problem, load_experiment
+from vmprox.prox import InexactProxError
+from vmprox.solver import minimize
 
 TOY_CONFIG = """\
 problem:
@@ -145,6 +148,21 @@ class TestSolve:
             assert cli.main(["solve", str(cfg)]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
+
+    def test_solver_failure_names_outer_iteration(self, tmp_path, capsys):
+        text = SMALL_CAUCHY.replace("  metric: sg\n", "  metric: sg\n  inner_limit: 1\n")
+        cfg = _write(tmp_path, "c.yaml", text.format(
+            trace=tmp_path / "t.csv", recon=tmp_path / "r.pgm",
+            summary=tmp_path / "s.json"))
+        exp = load_experiment(cfg)
+        problem, _, _, x0, _ = build_problem(exp, tmp_path)
+        with pytest.raises(InexactProxError) as ei:
+            minimize(problem, exp.solver, x0, metric=exp.metric,
+                     steplength=exp.steplength, ritz_window=exp.ritz_window)
+        assert cli.main(["solve", str(cfg)]) == cli.EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert (f"solver failure: outer iteration {ei.value.k}: "
+                "no certificate within 1 dual iterations") in err
 
     def test_seed_override_changes_data(self, tmp_path):
         cfg = _write(

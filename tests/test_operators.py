@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vmprox
 from vmprox.diagnostics import adjoint_max_residual
@@ -195,6 +197,85 @@ def test_out_buffers_match_fresh_results():
     np.testing.assert_array_equal(img, fd.adjoint(p))
     # zeros map to +0.0, never -0.0
     assert not np.signbit(fd.adjoint(np.zeros(70))).any()
+
+
+# The 2-D-slice forward differences that the flat runs replaced; the
+# operator must reproduce them bit for bit.
+
+
+def _grid_apply(x, shape):
+    h, w = shape
+    u = np.asarray(x, dtype=float).reshape(h, w)
+    out = np.empty(2 * h * w)
+    dv, dh = out.reshape(2, h, w)
+    np.subtract(u[1:, :], u[:-1, :], out=dv[:-1, :])
+    dv[-1, :] = 0.0
+    np.subtract(u[:, 1:], u[:, :-1], out=dh[:, :-1])
+    dh[:, -1] = 0.0
+    return out
+
+
+def _grid_adjoint(p, shape):
+    h, w = shape
+    pv, ph = np.asarray(p, dtype=float).reshape(2, h, w)
+    img = np.zeros((h, w))
+    img[:-1, :] -= pv[:-1, :]
+    img[1:, :] += pv[:-1, :]
+    img[:, :-1] -= ph[:, :-1]
+    img[:, 1:] += ph[:, :-1]
+    return img.ravel()
+
+
+def _assert_same_bits_up_to_nan(a, b):
+    # The sign of a NaN made from two NaNs depends on the position of the
+    # entry in numpy's vector loop (the same sum gives -nan at one index
+    # and +nan at another), so NaNs only have to sit in the same places.
+    nan = np.isnan(a)
+    np.testing.assert_array_equal(nan, np.isnan(b))
+    np.testing.assert_array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
+
+
+_EXTREMES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300,
+             -1e-300, 1.7e308, -5e-324]
+_ENTRIES = st.one_of(st.sampled_from(_EXTREMES), st.floats(-4.0, 4.0),
+                     st.floats())
+
+
+@st.composite
+def _fd_cases(draw):
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    n = h * w
+    x = np.array(draw(st.lists(_ENTRIES, min_size=n, max_size=n)))
+    p = np.array(draw(st.lists(_ENTRIES, min_size=2 * n, max_size=2 * n)))
+    # the entries the adjoint must ignore: the last row of pv and the last
+    # column of ph
+    pv, ph = p.reshape(2, h, w)
+    pv[-1, :] = draw(st.lists(st.sampled_from(_EXTREMES), min_size=w, max_size=w))
+    ph[:, -1] = draw(st.lists(st.sampled_from(_EXTREMES), min_size=h, max_size=h))
+    return (h, w), x, p, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fd_cases())
+@example(((1, 1), np.array([np.nan]), np.array([-0.0, np.inf]), True))
+@example(((1, 6), np.full(6, -0.0), np.full(12, -0.0), False))
+@example(((7, 1), np.full(7, 1e300), np.full(14, -np.inf), True))
+def test_flat_runs_match_grid_slices_bitwise(case):
+    shape, x, p, use_out = case
+    fd = ForwardDifference2D(shape)
+    n = shape[0] * shape[1]
+    with np.errstate(all="ignore"):
+        if use_out:
+            buf, img = np.full(2 * n, np.nan), np.full(n, np.nan)
+            assert fd.apply(x, buf) is buf
+            assert fd.adjoint(p, img) is img
+        else:
+            buf, img = fd.apply(x), fd.adjoint(p)
+        _assert_same_bits_up_to_nan(buf, _grid_apply(x, shape))
+        _assert_same_bits_up_to_nan(img, _grid_adjoint(p, shape))
+        # finite input never yields -0.0 from the adjoint
+        adj = fd.adjoint(np.where(np.isfinite(p), p, -0.0))
+        assert not np.signbit(adj[adj == 0.0]).any()
 
 
 def test_norm_bound_is_an_upper_bound():

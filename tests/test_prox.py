@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vmprox import prox as prox_module
 from vmprox.diagnostics import dense_prox_oracle
+from vmprox.operators import (
+    ConvOperator2D,
+    ForwardDifference2D,
+    Laplacian2D,
+    gaussian_psf,
+)
 from vmprox.prox import (
     BoxProx,
     DualTVProx,
@@ -380,8 +387,8 @@ def _assert_matches_old_loop(prox, v_prev, x, grad, alpha, metric, gamma, tau,
 
 @st.composite
 def _dual_instances(draw):
-    h = draw(st.integers(2, 12))
-    w = draw(st.integers(2, 12))
+    h = draw(st.integers(1, 12))
+    w = draw(st.integers(1, 12))
     rho = draw(st.sampled_from([0.0, 0.01, 0.2, 1.5]))
     seed = draw(st.integers(0, 2**32 - 1))
     alpha = draw(st.sampled_from([1e-3, 0.05, 0.5, 3.0, 80.0]))
@@ -426,6 +433,105 @@ def test_exhausted_budget_reports_exact_last_gap():
             prox.solve(x, grad, f1_x, alpha, metric, 1.0, 1e6 - 1, gap_tol=1e-30)
         _assert_same_bits(ei.value.last_gap, old[1])
         assert f"{old[1]:.3e}" in str(ei.value)
+
+
+def _recording(fn, written, arg):
+    """``fn`` with the array it writes (argument ``arg``) appended to
+    ``written`` at each call."""
+    def wrapper(*args):
+        written.append(args[arg] if len(args) > arg else None)
+        return fn(*args)
+    return wrapper
+
+
+def test_certificates_share_no_memory_with_later_calls(monkeypatch):
+    written = []
+    monkeypatch.setattr(TVNonnegRegularizer, "apply",
+                        _recording(TVNonnegRegularizer.apply, written, 2))
+    monkeypatch.setattr(TVNonnegRegularizer, "adjoint",
+                        _recording(TVNonnegRegularizer.adjoint, written, 2))
+    monkeypatch.setattr(ForwardDifference2D, "apply",
+                        _recording(ForwardDifference2D.apply, written, 2))
+    monkeypatch.setattr(prox_module, "_project_dual_tv_in_place",
+                        _recording(prox_module._project_dual_tv_in_place,
+                                   written, 0))
+    reg, x, grad, alpha, metric = _random_instance(50, shape=(4, 5))
+    x2 = np.maximum(x - 0.1 * grad, 0.0)
+    residues = set()
+    # 9, 25 and 26 iterations: the first dual vector is, in turn, each of
+    # the loop's three rotating buffers
+    for gap_tol in (1e-2, 1e-3, 1e-4):
+        prox = DualTVProx(reg, warm_start=True)
+        first = prox.solve(x, grad, reg.f1(x), alpha, metric, 1.0, 1e6 - 1,
+                           gap_tol=gap_tol)
+        residues.add(first.inner_iters % 3)
+        kept = [first.y_tilde, first.dual_v]
+        saved = [a.copy() for a in kept]
+        written.clear()
+
+        second = prox.solve(x2, -grad, reg.f1(x2), alpha, metric, 1.0,
+                            1e6 - 1, gap_tol=1e-8)
+        assert second.inner_iters > 0
+        prox.inner_limit = 1
+        with pytest.raises(InexactProxError):
+            prox.solve(x, grad, reg.f1(x), alpha, metric, 1.0, 1e6 - 1,
+                       gap_tol=1e-30)
+
+        later = [a for a in written if a is not None]
+        later += [second.y_tilde, second.dual_v]
+        assert len(later) > 10
+        for array, copy in zip(kept, saved):
+            _assert_same_bits(array, copy)
+            assert not any(np.shares_memory(array, b) for b in later)
+    assert residues == {0, 1, 2}
+
+
+def test_operators_and_proxes_keep_no_per_call_arrays():
+    shape = (5, 6)
+    n = 30
+    rng = np.random.default_rng(3)
+    x, p = rng.random(n), rng.standard_normal(3 * n)
+    reg = TVNonnegRegularizer(shape, 0.2)
+    operators = [ConvOperator2D(gaussian_psf(3, 1.0), shape),
+                 ForwardDifference2D(shape), Laplacian2D(shape), reg]
+    proxes = [DualTVProx(reg, warm_start=False), DualTVProx(reg), BoxProx(0.0, 1.0)]
+
+    def arrays(obj, path="", seen=None):
+        # every ndarray reachable through attributes and containers
+        seen = set() if seen is None else seen
+        if isinstance(obj, np.ndarray):
+            return {path: obj}
+        if id(obj) in seen:
+            return {}
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            items = obj.items()
+        elif isinstance(obj, (list, tuple)):
+            items = enumerate(obj)
+        elif hasattr(obj, "__dict__"):
+            items = vars(obj).items()
+        else:
+            return {}
+        found = {}
+        for key, value in items:
+            found.update(arrays(value, f"{path}.{key}", seen))
+        return found
+
+    before = {id(o): arrays(o) for o in operators + proxes}
+    for op in operators:
+        for _ in range(2):
+            op.apply(x if op.n_in == n else p[: op.n_in])
+            op.adjoint(p[: op.n_out])
+    metric = DiagonalMetric.identity(n, 10.0)
+    for prox in proxes:
+        for _ in range(2):
+            prox.solve(x, p[:n], prox.f1(x), 0.5, metric, 1.0, 1e6 - 1)
+    for obj in operators + proxes:
+        after = arrays(obj)
+        if isinstance(obj, DualTVProx) and obj.warm_start:
+            after.pop("._v_prev")  # the warm start, by design
+        assert after.keys() == before[id(obj)].keys()
+        assert all(after[k] is before[id(obj)][k] for k in after)
 
 
 class TestMeritLowerBound:

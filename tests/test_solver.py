@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from vmprox.problems import (
     degrade_synthetic,
     smooth_image,
 )
-from vmprox.prox import BoxProx
+from vmprox.prox import BoxProx, InexactProxError
 from vmprox.solver import (
     IterateState,
     LinesearchError,
@@ -469,3 +471,85 @@ class TestEvaluationCounts:
         assert problem._cache is None and not problem._orders
         problem.reconstruction(res.x)
         assert problem._cache is None and not problem._orders
+
+
+class _UphillFromStep3(_QuadProblem):
+    """The gradient points uphill from the state of outer iteration 3 on."""
+
+    def __init__(self):
+        super().__init__()
+        self.grad_calls = 0
+
+    def grad_f0(self, x):
+        self.grad_calls += 1  # call m computes the gradient of state m - 1
+        g = super().grad_f0(x)
+        return -g if self.grad_calls > 3 else g
+
+
+class TestFailuresNameTheOuterIteration:
+    def test_linesearch_error(self):
+        config = SolverConfig(alpha_max=0.1, stop_tol=0.0, max_backtracks=5)
+        with pytest.raises(LinesearchError) as ei:
+            minimize(_UphillFromStep3(), config, np.array([1.0, -2.0]))
+        assert ei.value.k == 3
+        assert str(ei.value).startswith("outer iteration 3: no sufficient decrease")
+        assert len(ei.value.probes) == 6
+
+    def test_inexact_prox_error(self):
+        shape = (16, 16)
+        H = ConvOperator2D(gaussian_psf(9, 1.0), shape)
+        g = np.clip(degrade_synthetic(cartoon_image(shape), H, "cauchy", seed=5),
+                    0.0, 1.0)
+        problem = CauchyDeblurProblem(H, g, shape, inner_limit=1)
+        x0 = np.maximum(g, 1e-3)
+
+        def run(iters):
+            return minimize(problem, SolverConfig(max_outer_iters=iters,
+                                                  stop_tol=0.0),
+                            x0, metric="sg", steplength="ritz")
+
+        with pytest.raises(InexactProxError) as ei:
+            run(40)
+        k = ei.value.k
+        assert k > 0
+        assert str(ei.value).startswith(
+            f"outer iteration {k}: no certificate within 1 dual iterations")
+        assert f"{ei.value.last_gap:.3e}" in str(ei.value)
+        # iterations 0 .. k-1 complete; iteration k is the one that fails
+        assert len(run(k).trace) == k
+        with pytest.raises(InexactProxError):
+            run(k + 1)
+
+
+# Memory a finished 150-iteration 32x32 Cauchy solve keeps (tracemalloc,
+# Python 3.11, numpy 2.4): nearly all of it is the 150 trace records.  The
+# margin is less than one more retained 32x32 float64 raster (8,304 bytes
+# with its header), so a solve that keeps a raster of scratch state fails.
+_RETAINED_BEFORE_FLAT_RUNS = 78_376
+_RETAINED_MARGIN = 8_000
+
+
+def test_finished_solve_retains_no_scratch_state():
+    shape = (32, 32)
+    H = ConvOperator2D(gaussian_psf(9, 1.0), shape)
+    g = np.clip(degrade_synthetic(cartoon_image(shape), H, "cauchy", seed=3),
+                0.0, 1.0)
+    problem = CauchyDeblurProblem(H, g, shape)
+    x0 = np.maximum(g, 1e-3)
+    config = SolverConfig(max_outer_iters=150)
+
+    def solve():
+        return minimize(problem, config, x0, metric="sg", steplength="ritz")
+
+    solve()  # fills FFT plan and import caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = solve()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result.trace) == 150
+    assert retained <= _RETAINED_BEFORE_FLAT_RUNS + _RETAINED_MARGIN
