@@ -168,12 +168,20 @@ class ExperimentConfig:
 
 
 def load_experiment(path):
+    """Read and validate the YAML experiment config at ``path``.
+
+    Parsing uses PyYAML's libyaml-backed ``CSafeLoader`` when PyYAML was
+    built with it and the pure-Python ``SafeLoader`` otherwise; both build
+    the same documents.  Unreadable files raise ``FileNotFoundError``, and
+    malformed YAML and schema violations raise :class:`ConfigError`.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise FileNotFoundError(f"cannot read config {path}: {exc}") from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(
+            text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     return ExperimentConfig.from_dict(raw)

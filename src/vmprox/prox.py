@@ -125,6 +125,10 @@ def _merit_lower_bound(lin, quad, dv, dh, rho, f1_x, work):
     return lin + quad + f1_fast - f1_x - margin
 
 
+# TVNonnegRegularizer.norm_A_sq per grid shape (h, w); entries are only added.
+_NORM_A_SQ = {}
+
+
 class TVNonnegRegularizer(LinearOperator):
     """``f1(x) = rho * sum_i ||gradient pair_i||`` plus nonnegativity.
 
@@ -133,6 +137,11 @@ class TVNonnegRegularizer(LinearOperator):
     and ``A^T`` itself.  The conjugate ``g*`` vanishes on its domain (a
     product of rho-balls and the nonpositive orthant), so dual evaluations
     only need the domain projection :func:`project_dual_tv`.
+
+    ``norm_A_sq`` is :meth:`norm_sq_bound` of ``A``.  Since ``A`` does not
+    depend on ``rho``, the first regularizer of each grid shape computes it
+    and later ones of that shape reuse the same value from a per-process
+    table.
     """
 
     def __init__(self, shape, rho):
@@ -144,7 +153,9 @@ class TVNonnegRegularizer(LinearOperator):
         self.n_in, self.n_out = self.n, 3 * self.n
         self.rho = float(rho)
         self.fd = ForwardDifference2D(shape)
-        self.norm_A_sq = self.norm_sq_bound()
+        if self.shape not in _NORM_A_SQ:
+            _NORM_A_SQ[self.shape] = self.norm_sq_bound()
+        self.norm_A_sq = _NORM_A_SQ[self.shape]
 
     def apply(self, x, out=None):
         """``[dv; dh; x]``, written into ``out`` when given."""

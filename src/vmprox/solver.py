@@ -264,31 +264,36 @@ def minimize(problem, config, x0, metric="identity", steplength="bb",
     :class:`SolveResult` whose trace has one record per iteration performed.
     An :class:`InexactProxError` or :class:`LinesearchError` leaves with the
     failing outer iteration as its ``k`` and at the head of its message.
+    The problem's per-run state is cleared when the solve ends, whether it
+    returns or raises.
     """
     if isinstance(metric, str):
         metric = make_metric_strategy(metric)
     if isinstance(steplength, str):
         steplength = make_steplength_strategy(steplength, window=ritz_window)
     problem.reset()
-    state = _initial_state(problem, x0)
-    trace = []
-    for _ in range(config.max_outer_iters):
-        x_prev_norm = float(np.linalg.norm(state.x))
-        try:
-            state, record = solver_step(
-                state, problem, config, metric, steplength,
-                retain_prox_points=retain_prox_points,
-            )
-        except (InexactProxError, LinesearchError) as exc:
-            exc.k = state.k
-            exc.args = (f"outer iteration {state.k}: {exc.args[0]}", *exc.args[1:])
-            raise
-        trace.append(record)
-        if x_prev_norm > 0.0:
-            rel_step = record.step_norm / x_prev_norm
-        else:
-            rel_step = record.step_norm
-        if rel_step <= config.stop_tol:
-            break
-    problem.reset()  # warm start and caches end with the solve
+    try:
+        state = _initial_state(problem, x0)
+        trace = []
+        for _ in range(config.max_outer_iters):
+            x_prev_norm = float(np.linalg.norm(state.x))
+            try:
+                state, record = solver_step(
+                    state, problem, config, metric, steplength,
+                    retain_prox_points=retain_prox_points,
+                )
+            except (InexactProxError, LinesearchError) as exc:
+                exc.k = state.k
+                exc.args = (f"outer iteration {state.k}: {exc.args[0]}",
+                            *exc.args[1:])
+                raise
+            trace.append(record)
+            if x_prev_norm > 0.0:
+                rel_step = record.step_norm / x_prev_norm
+            else:
+                rel_step = record.step_norm
+            if rel_step <= config.stop_tol:
+                break
+    finally:
+        problem.reset()  # per-run state ends with the solve, even a failed one
     return SolveResult(x=state.x, trace=trace)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dsyevr, dtrtrs
 
 logger = logging.getLogger(__name__)
 
@@ -83,7 +84,13 @@ def ritz_steplengths(history, metric, reduced_grad):
     window matrix and the bidiagonal steplength matrix, factorizes, forms
     the tridiagonal symmetrization and returns the reciprocals of its
     positive eigenvalues sorted increasingly (smallest steplength first).
-    Returns ``None`` when the window is numerically rank deficient.
+    Returns ``None`` when the window is numerically rank deficient or no
+    eigenvalue is positive, and raises ``ValueError`` when the current
+    scaled gradient or the symmetrized matrix is not finite.
+
+    The factorization, the triangular solves and the eigenvalues call LAPACK
+    directly: the routines ``scipy.linalg.cholesky``, ``solve_triangular``
+    and ``eigvalsh`` reach, without their input checks.
     """
     m = len(history)
     alphas = np.array([a for a, _ in history])
@@ -95,17 +102,23 @@ def ritz_steplengths(history, metric, reduced_grad):
     gtg = G.T @ G
     if not np.all(np.isfinite(gtg)):
         return None
-    try:
-        R = scipy.linalg.cholesky(gtg, lower=False)
-    except scipy.linalg.LinAlgError:
+    R, info = dpotrf(gtg, lower=0)
+    if info != 0:  # not positive definite
         return None
-    current = np.sqrt(metric.diag) * reduced_grad
-    r = scipy.linalg.solve_triangular(R.T, G.T @ current, lower=True)
-    Rinv = scipy.linalg.solve_triangular(R, np.eye(m), lower=False)
+    rhs = G.T @ (np.sqrt(metric.diag) * reduced_grad)
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("current scaled gradient must not contain infs or NaNs")
+    # R has a positive diagonal, so neither solve can fail.
+    r, _ = dtrtrs(R, rhs, lower=0, trans=1)
+    Rinv, _ = dtrtrs(R, np.eye(m), lower=0)
     Phi = np.hstack([R, r[:, None]]) @ Gamma @ Rinv
     lower = np.tril(Phi, -1)
     Phi_sym = np.diag(np.diag(Phi)) + lower + lower.T
-    eigs = scipy.linalg.eigvalsh(Phi_sym)
+    if not np.all(np.isfinite(Phi_sym)):  # overflow in an ill-conditioned window
+        raise ValueError("Ritz matrix must not contain infs or NaNs")
+    eigs, *_, info = dsyevr(Phi_sym, compute_v=0, lower=1)
+    if info != 0:
+        raise scipy.linalg.LinAlgError("dsyevr failed on the Ritz matrix")
     pos = eigs[eigs > 0.0]
     if pos.size == 0:
         return None

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from vmprox import cli, pgm
 from vmprox.config import build_problem, load_experiment
@@ -106,6 +108,20 @@ class TestSolve:
         cfg = _write(tmp_path, "bad.yaml", text)
         assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
         assert "must be a mapping" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loader", ["in use", "SafeLoader"])
+    @pytest.mark.parametrize("text", [
+        "problem: [1, 2\n",
+        "problem:\n  kind: toy1d\n bad: indent\n",
+        "problem: {kind: toy1d}\n\tseed: 1\n",
+    ])
+    def test_malformed_yaml_is_config_error(self, tmp_path, capsys,
+                                            monkeypatch, loader, text):
+        if loader == "SafeLoader":
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        cfg = _write(tmp_path, "bad.yaml", text)
+        assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
+        assert "invalid YAML" in capsys.readouterr().err
 
     def test_invalid_solver_value(self, tmp_path):
         cfg = _write(
@@ -262,10 +278,6 @@ class TestImageIO:
 
 class TestPresets:
     def test_shipped_presets_validate(self):
-        from pathlib import Path
-
-        from vmprox.config import load_experiment
-
         presets = sorted(
             (Path(__file__).resolve().parents[1] / "presets").glob("*.yaml")
         )
@@ -276,10 +288,6 @@ class TestPresets:
                                            "compression", "toy1d")
 
     def test_compression_preset_runs_briefly(self, tmp_path):
-        import yaml
-
-        from pathlib import Path
-
         src = Path(__file__).resolve().parents[1] / "presets" / "compression_32.yaml"
         raw = yaml.safe_load(src.read_text())
         raw["solver"]["max_outer_iters"] = 5
@@ -291,6 +299,13 @@ class TestPresets:
         assert summary["kind"] == "compression"
         assert "mask_density" in summary
         assert summary["mse_final"] is not None
+
+    def test_presets_load_alike_with_the_pure_python_loader(self, monkeypatch):
+        presets = sorted(
+            (Path(__file__).resolve().parents[1] / "presets").glob("*.yaml"))
+        in_use = [load_experiment(path) for path in presets]
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert [load_experiment(path) for path in presets] == in_use
 
 
 class TestTraceFormat:

@@ -102,6 +102,16 @@ def test_conv_results_do_not_depend_on_fft_workers(side, monkeypatch):
     np.testing.assert_array_equal(outs[0][1], outs[1][1])
 
 
+@pytest.mark.parametrize("side", [16, 128])
+def test_conv_adjoint_uses_the_conjugate_transfer_function(side):
+    # 128x128 complex spectra are 256 KiB, where numpy may reuse temporaries.
+    H = ConvOperator2D(gaussian_psf(9, 1.0), (side, side))
+    y = np.random.default_rng(side).standard_normal(side * side)
+    expected = H._filter(y, np.conj(H._otf))
+    np.testing.assert_array_equal(H.adjoint(y).view(np.int64),
+                                  expected.view(np.int64))
+
+
 def test_import_does_not_load_ndimage():
     src = str(Path(vmprox.__file__).resolve().parents[1])
     env = dict(os.environ)

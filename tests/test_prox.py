@@ -11,6 +11,7 @@ from vmprox.operators import (
     Laplacian2D,
     gaussian_psf,
 )
+from vmprox.problems import CauchyDeblurProblem, cartoon_image, degrade_synthetic
 from vmprox.prox import (
     BoxProx,
     DualTVProx,
@@ -582,3 +583,38 @@ class TestMeritLowerBound:
             x, grad = scale * x, scale * grad
             _assert_matches_old_loop(DualTVProx(reg, warm_start=False), None,
                                      x, grad, alpha, metric, 1.0, 1e6 - 1, None)
+
+
+class TestNormBoundTable:
+    """``norm_A_sq`` is computed once per grid shape and reused bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 9), (32, 32)])
+    def test_table_value_is_a_fresh_bound(self, shape, monkeypatch):
+        monkeypatch.setattr(prox_module, "_NORM_A_SQ", {})
+        first = TVNonnegRegularizer(shape, 0.3)  # fills the table
+        again = TVNonnegRegularizer(shape, 2.0)  # reads it
+        fresh = again.norm_sq_bound()
+        _assert_same_bits(first.norm_A_sq, fresh)
+        _assert_same_bits(again.norm_A_sq, fresh)
+        _assert_same_bits(fresh, _old_norm_sq_bound(shape))
+        assert list(prox_module._NORM_A_SQ) == [shape]
+
+    def test_eight_same_shape_problems_run_one_power_iteration(self, monkeypatch):
+        monkeypatch.setattr(prox_module, "_NORM_A_SQ", {})
+        calls = []
+        bound = TVNonnegRegularizer.norm_sq_bound
+
+        def counted(self):
+            calls.append(self.shape)
+            return bound(self)
+
+        monkeypatch.setattr(TVNonnegRegularizer, "norm_sq_bound", counted)
+        shape = (32, 32)
+        H = ConvOperator2D(gaussian_psf(9, 1.0), shape)
+        truth = cartoon_image(shape)
+        norms = set()
+        for seed in range(8):
+            g = np.clip(degrade_synthetic(truth, H, "cauchy", seed=seed), 0.0, 1.0)
+            norms.add(CauchyDeblurProblem(H, g, shape).prox.reg.norm_A_sq)
+        assert calls == [shape]
+        assert len(norms) == 1

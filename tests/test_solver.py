@@ -510,6 +510,9 @@ class TestFailuresNameTheOuterIteration:
 
         with pytest.raises(InexactProxError) as ei:
             run(40)
+        # the failed solve still clears the warm start and the blur cache
+        assert problem.prox._v_prev is None
+        assert problem._blurred == []
         k = ei.value.k
         assert k > 0
         assert str(ei.value).startswith(

@@ -2,6 +2,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vmprox.problems import Problem
 from vmprox.prox import BoxProx
@@ -248,6 +251,74 @@ class TestRitzSteplengths:
         assert np.all(eigs_remaining >= 1.0 - 1e-6)
         assert np.all(eigs_remaining <= 4.0 + 1e-6)
         assert 1.0 / a2 >= eigs_remaining.max() - 1e-9  # smallest step first
+
+
+def _scipy_ritz_steplengths(history, metric, reduced_grad):
+    """``ritz_steplengths`` through the checked ``scipy.linalg`` wrappers."""
+    m = len(history)
+    alphas = np.array([a for a, _ in history])
+    G = np.column_stack([g for _, g in history])
+    Gamma = np.zeros((m + 1, m))
+    for j in range(m):
+        Gamma[j, j] = 1.0 / alphas[j]
+        Gamma[j + 1, j] = -1.0 / alphas[j]
+    gtg = G.T @ G
+    if not np.all(np.isfinite(gtg)):
+        return None
+    try:
+        R = scipy.linalg.cholesky(gtg, lower=False)
+    except scipy.linalg.LinAlgError:
+        return None
+    current = np.sqrt(metric.diag) * reduced_grad
+    r = scipy.linalg.solve_triangular(R.T, G.T @ current, lower=True)
+    Rinv = scipy.linalg.solve_triangular(R, np.eye(m), lower=False)
+    Phi = np.hstack([R, r[:, None]]) @ Gamma @ Rinv
+    lower = np.tril(Phi, -1)
+    Phi_sym = np.diag(np.diag(Phi)) + lower + lower.T
+    eigs = scipy.linalg.eigvalsh(Phi_sym)
+    pos = eigs[eigs > 0.0]
+    if pos.size == 0:
+        return None
+    return np.sort(1.0 / pos)
+
+
+@st.composite
+def _ritz_windows(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = [10.0 ** rng.uniform(-6, 6) * rng.standard_normal(n) for _ in range(m)]
+    defect = draw(st.sampled_from(["none", "none", "zero", "repeat", "inf"]))
+    if defect == "zero":
+        cols[-1][:] = 0.0
+    elif defect == "repeat" and m > 1:
+        cols[-1] = cols[0].copy()
+    elif defect == "inf":
+        cols[0][0] = np.inf
+    history = [(10.0 ** rng.uniform(-4, 2), g) for g in cols]
+    metric = DiagonalMetric(10.0 ** rng.uniform(-3, 3, n), 1e10)
+    grad = rng.standard_normal(n)
+    if draw(st.integers(0, 9)) == 0:
+        grad[-1] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return history, metric, grad
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ritz_windows())
+def test_ritz_lapack_calls_match_scipy_linalg_bitwise(window):
+    history, metric, grad = window
+    try:
+        expected = _scipy_ritz_steplengths(history, metric, grad)
+    except ValueError:
+        with pytest.raises(ValueError):
+            ritz_steplengths(history, metric, grad)
+        return
+    steps = ritz_steplengths(history, metric, grad)
+    if expected is None:
+        assert steps is None
+    else:
+        np.testing.assert_array_equal(steps.view(np.int64),
+                                      expected.view(np.int64))
 
 
 class TestSGMetrics:
