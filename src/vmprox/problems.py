@@ -100,7 +100,7 @@ class DeblurProblem(Problem):
         self.prox = DualTVProx(self.reg, inner_limit=inner_limit,
                                warm_start=warm_start)
         self._h_norm_sq = None
-        self._blurred = []  # (x, H x) pairs, most recent first
+        self._blurred = []  # (bytes of x, H x) pairs, most recent first
 
     def reset(self):
         super().reset()
@@ -111,10 +111,9 @@ class DeblurProblem(Problem):
         ``grad_f0`` and the split-gradient metric of a point share one
         convolution.  The array is shared: callers must not write to it."""
         x = np.asarray(x, dtype=float).ravel()
-        bits = x.view(np.int64)  # match bits: 0.0 and -0.0 are distinct points
-        entry = next((e for e in self._blurred
-                      if np.array_equal(e[0].view(np.int64), bits)), None)
-        entry = entry or (x.copy(), self.H.apply(x))
+        key = x.tobytes()  # match bits: 0.0 and -0.0 are distinct points
+        entry = next((e for e in self._blurred if e[0] == key), None)
+        entry = entry or (key, self.H.apply(x))
         self._blurred = [entry] + [e for e in self._blurred if e is not entry][:1]
         return entry[1]
 

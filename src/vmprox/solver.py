@@ -106,7 +106,7 @@ class IterateState:
     k: int
 
 
-@dataclass
+@dataclass(slots=True)
 class IterateRecord:
     """One trace row per outer iteration.
 

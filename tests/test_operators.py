@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -92,14 +93,59 @@ def test_conv_matches_dense_definition(psf, shape):
 
 @pytest.mark.parametrize("side", [32, 128])
 def test_conv_results_do_not_depend_on_fft_workers(side, monkeypatch):
-    op = ConvOperator2D(gaussian_psf(9, 1.0), (side, side))
+    # An operator reads the worker count when it is built, so each count
+    # gets its own operator.
     x = np.random.default_rng(side).standard_normal(side * side)
     outs = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("VMPROX_NUM_THREADS", workers)
-        outs.append((op.apply(x), op.adjoint(x)))
-    np.testing.assert_array_equal(outs[0][0], outs[1][0])
-    np.testing.assert_array_equal(outs[0][1], outs[1][1])
+    for workers in (1, 2):
+        monkeypatch.setenv("VMPROX_NUM_THREADS", str(workers))
+        op = ConvOperator2D(gaussian_psf(9, 1.0), (side, side))
+        assert op._workers == workers
+        outs.append((op._otf, op.apply(x), op.adjoint(x)))
+    for one, two in zip(*outs):
+        np.testing.assert_array_equal(one.view(np.int64), two.view(np.int64))
+
+
+def _scipy_fft_filter(op, x, otf):
+    """The ``scipy.fft.fft2``/``ifft2`` path that ``_filter`` calls the
+    backend of, with the product out of place."""
+    spec = scipy.fft.fft2(np.asarray(x, dtype=float).reshape(op.shape))
+    return scipy.fft.ifft2(spec * otf).real.ravel()
+
+
+@pytest.mark.parametrize("shape", [(5, 8), (16, 12), (32, 32), (64, 64),
+                                   (128, 128), (256, 256)])
+def test_conv_matches_scipy_fft_path_bitwise(shape):
+    psf = np.random.default_rng(7).uniform(0.0, 1.0, (5, 5))
+    op = ConvOperator2D(psf, shape)
+    kh, kw = psf.shape
+    embedded = np.zeros(shape)
+    embedded[:kh, :kw] = psf / psf.sum()
+    embedded = np.roll(embedded, (-(kh // 2), -(kw // 2)), axis=(0, 1))
+    np.testing.assert_array_equal(op._otf.view(np.int64),
+                                  scipy.fft.fft2(embedded).view(np.int64))
+    rng = np.random.default_rng(shape[0] * shape[1])
+    for x in (rng.standard_normal(op.n_in), rng.uniform(0.0, 1.0, op.n_in)):
+        x[::3] = -0.0
+        x[1::5] = 0.0
+        for got, otf in ((op.apply(x), op._otf),
+                         (op.adjoint(x), np.conj(op._otf))):
+            np.testing.assert_array_equal(
+                got.view(np.int64), _scipy_fft_filter(op, x, otf).view(np.int64))
+
+
+def test_conv_writes_neither_its_input_nor_its_transfer_functions():
+    op = ConvOperator2D(gaussian_psf(9, 1.0), (128, 128))
+    x = np.random.default_rng(3).standard_normal(op.n_in)
+    x[::4] = -0.0
+    kept = [a.copy() for a in (x, op._otf, op._otf_conj)]
+    first = op.apply(x), op.adjoint(x)
+    for _ in range(3):
+        again = op.apply(x), op.adjoint(x)
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+    for old, now in zip(kept, (x, op._otf, op._otf_conj)):
+        np.testing.assert_array_equal(old.view(np.int64), now.view(np.int64))
 
 
 @pytest.mark.parametrize("side", [16, 128])

@@ -473,6 +473,59 @@ class TestEvaluationCounts:
         assert problem._cache is None and not problem._orders
 
 
+class TestBlurCache:
+    """``DeblurProblem.blur`` matches points by their bits and holds the two
+    used most recently."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        shape = (8, 8)
+        H = ConvOperator2D(gaussian_psf(3, 1.0), shape)
+        problem = CauchyDeblurProblem(H, np.full(64, 0.5), shape)
+        calls = []
+        apply = H.apply
+
+        def counted_apply(x):
+            calls.append(np.asarray(x).tobytes())
+            return apply(x)
+
+        monkeypatch.setattr(H, "apply", counted_apply)
+        return problem, calls
+
+    def test_signed_zeros_are_distinct_points(self, monkeypatch):
+        problem, calls = self._counted(monkeypatch)
+        problem.blur(np.zeros(64))
+        problem.blur(np.full(64, -0.0))
+        assert len(calls) == 2
+        problem.blur(np.zeros(64))
+        problem.blur(np.full(64, -0.0))
+        assert len(calls) == 2
+
+    def test_repeated_point_costs_no_convolution(self, monkeypatch):
+        problem, calls = self._counted(monkeypatch)
+        x = np.random.default_rng(0).uniform(0.0, 1.0, 64)
+        first = problem.blur(x)
+        assert problem.blur(x.copy()) is first
+        assert problem.blur(x.reshape(8, 8)) is first
+        assert len(calls) == 1
+
+    def test_holds_the_two_most_recent_points(self, monkeypatch):
+        problem, calls = self._counted(monkeypatch)
+        a, b, c = (np.full(64, v) for v in (0.1, 0.2, 0.3))
+        for x in (a, b, c):
+            problem.blur(x)
+        assert len(problem._blurred) == 2 and len(calls) == 3
+        problem.blur(b)  # held: no convolution
+        assert len(calls) == 3
+        problem.blur(a)  # evicted by c: convolved again, evicts c
+        assert len(calls) == 4
+        problem.blur(b)
+        assert len(calls) == 4
+        problem.blur(c)
+        assert len(calls) == 5
+        assert len(problem._blurred) == 2
+
+
 class _UphillFromStep3(_QuadProblem):
     """The gradient points uphill from the state of outer iteration 3 on."""
 
@@ -530,6 +583,16 @@ class TestFailuresNameTheOuterIteration:
 # with its header), so a solve that keeps a raster of scratch state fails.
 _RETAINED_BEFORE_FLAT_RUNS = 78_376
 _RETAINED_MARGIN = 8_000
+
+
+def test_iterate_records_have_no_instance_dict():
+    # One record is kept per outer iteration, so each one is slotted.
+    problem = Toy1DBoxProblem()
+    result = minimize(problem, SolverConfig(max_outer_iters=2), np.array([0.0]))
+    record = result.trace[0]
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.extra = 1
 
 
 def test_finished_solve_retains_no_scratch_state():
