@@ -486,7 +486,7 @@ class TestBlurCache:
         apply = H.apply
 
         def counted_apply(x):
-            calls.append(np.asarray(x).tobytes())
+            calls.append(1)
             return apply(x)
 
         monkeypatch.setattr(H, "apply", counted_apply)
