@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, pgm
-from .config import ConfigError, build_problem, deblur_data, load_experiment
+from .config import ConfigError, build_problem, deblur_data, load_experiment, resolve_path
 from .operators import ConvOperator2D, ForwardDifference2D, Laplacian2D, gaussian_psf
 from .problems import (
     CauchyDeblurProblem,
@@ -136,12 +136,22 @@ def _psnr_or_none(x, x_true):
 
 
 def _input_failure(exc):
-    """Report a missing input or an invalid config; returns the exit code."""
-    if isinstance(exc, FileNotFoundError):
+    """Report an unusable path or an invalid config; returns the exit code."""
+    if isinstance(exc, OSError):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     print(f"config error: {exc}", file=sys.stderr)
     return EXIT_CONFIG
+
+
+def _output_paths(cfg, keys, base_dir):
+    """The outputs among ``keys`` that the config names, resolved against
+    ``base_dir``, with their directories created before any work is done."""
+    paths = {key: resolve_path(cfg.output[key], base_dir)
+             for key in keys if key in cfg.output}
+    for path in paths.values():
+        path.parent.mkdir(parents=True, exist_ok=True)
+    return paths
 
 
 def cmd_solve(args):
@@ -161,8 +171,9 @@ def cmd_solve(args):
 
     base_dir = Path(args.config).resolve().parent
     try:
+        outputs = _output_paths(cfg, ("trace", "reconstruction", "summary"), base_dir)
         problem, x_true, observed, x0, shape = build_problem(cfg, base_dir)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _input_failure(exc)
 
     t0 = time.perf_counter()
@@ -188,15 +199,13 @@ def cmd_solve(args):
     summary = _solve_summary(cfg, problem, result, x_true, observed, wall_time, report)
 
     try:
-        if "trace" in cfg.output:
-            write_trace(_resolve(cfg.output["trace"], base_dir), result.trace)
-        if "reconstruction" in cfg.output:
-            pgm.write_image(
-                _resolve(cfg.output["reconstruction"], base_dir),
-                np.asarray(result.x, dtype=float).reshape(shape),
-            )
-        if "summary" in cfg.output:
-            Path(_resolve(cfg.output["summary"], base_dir)).write_text(
+        if "trace" in outputs:
+            write_trace(outputs["trace"], result.trace)
+        if "reconstruction" in outputs:
+            pgm.write_image(outputs["reconstruction"],
+                            np.asarray(result.x, dtype=float).reshape(shape))
+        if "summary" in outputs:
+            outputs["summary"].write_text(
                 json.dumps(summary, indent=2, sort_keys=True) + "\n"
             )
     except OSError as exc:
@@ -211,11 +220,6 @@ def cmd_solve(args):
         )
         return EXIT_CHECK
     return EXIT_OK
-
-
-def _resolve(path, base_dir):
-    p = Path(path)
-    return p if p.is_absolute() else Path(base_dir) / p
 
 
 def cmd_degrade(args):
@@ -236,10 +240,10 @@ def cmd_degrade(args):
     # degrade synthesizes data even when the config names an observed input
     cfg.problem.pop("observed", None)
     try:
+        out = _output_paths(cfg, ("observed",), base_dir)["observed"]
         truth, _, observed = deblur_data(cfg, base_dir)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _input_failure(exc)
-    out = _resolve(cfg.output["observed"], base_dir)
     try:
         pgm.write_image(out, observed.reshape(truth.shape))
     except OSError as exc:

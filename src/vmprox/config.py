@@ -47,22 +47,27 @@ _SOLVER_KEYS = {
     **{key: type(value) for key, value in _RUN_DEFAULTS.items()},
 }
 
+_DEBLUR = ("gaussian_sd", "cauchy")
+_IMAGE = (*_DEBLUR, "compression")
+
+# Problem keys: the type of each and the kinds that read it.  A key that the
+# config's kind never reads is rejected.
 _PROBLEM_KEYS = {
-    "kind": str,
-    "image": str,
-    "size": list,
-    "psf_size": int,
-    "psf_sigma": float,
-    "a": float,
-    "b": float,
-    "rho": float,
-    "gamma_noise": float,
-    "lambda_reg": float,
-    "box_upper": float,
-    "observed": str,
-    "clip_observed": bool,
-    "x0_floor": float,
-    "x0_value": float,
+    "kind": (str, PROBLEM_KINDS),
+    "image": (str, _IMAGE),
+    "size": (list, _IMAGE),
+    "psf_size": (int, _DEBLUR),
+    "psf_sigma": (float, _DEBLUR),
+    "a": (float, ("gaussian_sd",)),
+    "b": (float, ("gaussian_sd",)),
+    "rho": (float, ("gaussian_sd",)),
+    "gamma_noise": (float, ("cauchy",)),
+    "lambda_reg": (float, ("cauchy", "compression")),
+    "box_upper": (float, ("compression",)),
+    "observed": (str, _DEBLUR),
+    "clip_observed": (bool, _DEBLUR),
+    "x0_floor": (float, _DEBLUR),
+    "x0_value": (float, ("compression", "toy1d")),
 }
 
 _OUTPUT_KEYS = {
@@ -125,7 +130,7 @@ class ExperimentConfig:
         if "problem" not in raw:
             raise ConfigError("missing 'problem' section")
         problem = _section(raw, "problem")
-        _check_keys("problem", problem, _PROBLEM_KEYS)
+        _check_keys("problem", problem, {k: t for k, (t, _) in _PROBLEM_KEYS.items()})
         kind = problem.get("kind")
         if kind not in PROBLEM_KINDS:
             raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}")
@@ -163,6 +168,10 @@ class ExperimentConfig:
             solver = SolverConfig(**solver_raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid solver settings: {exc}") from exc
+        unread = sorted(key for key in problem if kind not in _PROBLEM_KEYS[key][1])
+        if unread:
+            raise ConfigError(f"problem keys not read by kind {kind!r}: "
+                              f"{', '.join(unread)}")
         return cls(problem=problem, solver=solver, seed=seed, audit=audit,
                    output=output, **run)
 
@@ -187,6 +196,13 @@ def load_experiment(path):
     return ExperimentConfig.from_dict(raw)
 
 
+def resolve_path(path, base_dir):
+    """``path`` as given when absolute, else relative to ``base_dir``, the
+    directory of the config that names it."""
+    path = Path(path)
+    return path if path.is_absolute() else Path(base_dir) / path
+
+
 def _given(p, *keys):
     """The entries of ``p`` among ``keys``: omitted model parameters take
     the defaults of the constructor they are passed to."""
@@ -206,10 +222,7 @@ def _load_base_image(spec, size, base_dir):
             raise ConfigError("problem.size required for synthetic images")
         shape = (int(size[0]), int(size[1]))
         return _SYNTHETIC_IMAGES[spec](shape).reshape(shape)
-    path = Path(spec)
-    if not path.is_absolute():
-        path = Path(base_dir) / path
-    img = pgm.read_image(path)
+    img = pgm.read_image(resolve_path(spec, base_dir))
     lo, hi = img.min(), img.max()
     if hi > lo:
         img = (img - lo) / (hi - lo)
@@ -231,10 +244,7 @@ def deblur_data(cfg: ExperimentConfig, base_dir="."):
     )
     observed_spec = p.get("observed")
     if observed_spec is not None:
-        path = Path(observed_spec)
-        if not path.is_absolute():
-            path = Path(base_dir) / path
-        observed = pgm.read_image(path).ravel()
+        observed = pgm.read_image(resolve_path(observed_spec, base_dir)).ravel()
     else:
         observed = degrade_synthetic(
             truth.ravel(), H, p["kind"], cfg.seed,

@@ -1,8 +1,8 @@
 """Linear operators for 2-D imaging problems.
 
 All operators act on flat float64 vectors holding row-major rasters of a
-fixed (height, width) grid.  Every operator provides an exact adjoint and a
-power-iteration upper bound on its squared spectral norm.
+fixed (height, width) grid.  Every operator provides an exact adjoint and an
+upper bound on its squared spectral norm, exact for the convolution.
 """
 
 from __future__ import annotations
@@ -104,6 +104,10 @@ class ConvOperator2D(LinearOperator):
         self._otf = pypocketfft.c2c(embedded, (0, 1), True, 0, None,
                                     self._workers)
         self._otf_conj = np.conj(self._otf)
+
+    def norm_sq_bound(self):
+        """``max |otf|^2``, the exact ``||H||^2`` of a circulant."""
+        return float(np.max(np.abs(self._otf))) ** 2
 
     def _use_fft(self):
         # Every application goes through the FFT.  The benchmark's traced

@@ -2,8 +2,8 @@
 compression problem, and a 1-D box-constrained example, plus synthetic data
 generation.
 
-Every problem exposes the smooth part (``f0``/``grad_f0``), the convex
-nonsmooth part (``f1``), a proximal strategy, a domain membership test and
+Every problem exposes the smooth part (``f0``/``grad_f0``) and a proximal
+strategy, which owns the convex nonsmooth part (``f1``), the domain test and
 the active-set rule used by reduced gradients.
 """
 
@@ -74,7 +74,7 @@ class Problem:
 
     def active_mask(self, x):
         """Coordinates whose reduced gradient is zeroed (at active bounds)."""
-        raise NotImplementedError
+        return self.prox.active_mask(x)
 
 
 def _finite(name, values):
@@ -96,10 +96,8 @@ class DeblurProblem(Problem):
         self.g = _finite("g", np.asarray(g, dtype=float).ravel())
         if self.g.size != self.n:
             raise ValueError("observed image size mismatch")
-        self.reg = TVNonnegRegularizer(shape, rho)
-        self.prox = DualTVProx(self.reg, inner_limit=inner_limit,
-                               warm_start=warm_start)
-        self._h_norm_sq = None
+        self.prox = DualTVProx(TVNonnegRegularizer(shape, rho),
+                               inner_limit=inner_limit, warm_start=warm_start)
         self._blurred = []  # (bytes of x, H x) pairs, most recent first
 
     def reset(self):
@@ -116,15 +114,6 @@ class DeblurProblem(Problem):
         entry = entry or (key, self.H.apply(x))
         self._blurred = [entry] + [e for e in self._blurred if e is not entry][:1]
         return entry[1]
-
-    def active_mask(self, x):
-        return np.asarray(x) == 0.0
-
-    @property
-    def h_norm_sq(self):
-        if self._h_norm_sq is None:
-            self._h_norm_sq = self.H.norm_sq_bound()
-        return self._h_norm_sq
 
 
 class SignalDependentGaussianProblem(DeblurProblem):
@@ -167,6 +156,17 @@ class SignalDependentGaussianProblem(DeblurProblem):
         q = r / c - 0.5 * self.a * r * r / (c * c) + 0.5 * self.a / c
         return self.H.adjoint(q)
 
+    def split_gradient_metric(self, x):
+        """Split-gradient ``D^{-1}``: ``x_i / (V_i + eps_mach)``, where
+        ``V = H^T s`` is the positive part of the gradient splitting."""
+        x = np.asarray(x, dtype=float)
+        t = self.blur(x)
+        a, b, g = self.a, self.b, self.g
+        c = a * t + b
+        s = t * (a * (t + g) + 2.0 * b) / (2.0 * c * c) + 0.5 * a / c
+        V = self.H.adjoint(s)
+        return x / (V + np.finfo(float).eps)
+
     def curvature_bound(self):
         """Bound on the per-component second derivative of the misfit, valid
         on the nonnegative blurred range."""
@@ -204,6 +204,18 @@ class CauchyDeblurProblem(DeblurProblem):
         return self.lambda_reg * self.H.adjoint(
             r / (self.gamma_noise**2 + r * r)
         )
+
+    def split_gradient_metric(self, x):
+        """Split-gradient ``D^{-1} = x / V``, ``V = lambda H^T (Hx / (gamma^2
+        + (Hx - g)^2))``; ``inf`` where ``V <= 0``, ``0`` where ``x == 0``."""
+        x = np.asarray(x, dtype=float)
+        t = self.blur(x)
+        r = t - self.g
+        s = t / (self.gamma_noise**2 + r * r)
+        V = self.lambda_reg * self.H.adjoint(s)
+        ratio = np.divide(x, V, out=np.full(x.shape, np.inf), where=V > 0)
+        ratio[x == 0.0] = 0.0
+        return ratio
 
     def curvature_bound(self):
         return self.lambda_reg / self.gamma_noise**2
@@ -375,10 +387,6 @@ class MaskCompressionProblem(Problem):
         w = lu.solve(u - self.u0, trans="T")
         return -w * (u + self.L @ u - self.u0) + self.lambda_reg
 
-    def active_mask(self, x):
-        x = np.asarray(x)
-        return (x == 0.0) | (x == self.box_upper)
-
 
 class Toy1DBoxProblem(Problem):
     """Scalar example: minimize ``2 / (x + 1)`` over the box ``[0, 10]``.
@@ -391,8 +399,6 @@ class Toy1DBoxProblem(Problem):
     n = 1
 
     def __init__(self, lower=0.0, upper=10.0):
-        self.lower = float(lower)
-        self.upper = float(upper)
         self.prox = BoxProx(lower, upper)
 
     def f0(self, x):
@@ -404,10 +410,6 @@ class Toy1DBoxProblem(Problem):
     def grad_f0(self, x):
         x = np.asarray(x, dtype=float)
         return -2.0 / (x + 1.0) ** 2
-
-    def active_mask(self, x):
-        x = np.asarray(x)
-        return (x == self.lower) | (x == self.upper)
 
 
 def degrade_synthetic(x_true, H, model, seed, *, a=1.0, b=1.0,

@@ -198,6 +198,10 @@ class BoxProx:
     def f1(self, x):
         return 0.0 if self.in_domain(x) else np.inf
 
+    def active_mask(self, x):
+        x = np.asarray(x)
+        return (x == self.lower) | (x == self.upper)
+
     def solve(self, x, grad, f1_x, alpha, metric, gamma, tau, gap_tol=None):
         d = metric.diag
         z = x - alpha * grad / d
@@ -259,6 +263,9 @@ class DualTVProx:
 
     def f1(self, x):
         return self.reg.f1(x)
+
+    def active_mask(self, x):
+        return np.asarray(x) == 0
 
     def solve(self, x, grad, f1_x, alpha, metric, gamma, tau, gap_tol=None):
         reg = self.reg

@@ -264,14 +264,15 @@ def minimize(problem, config, x0, metric="identity", steplength="bb",
     :class:`SolveResult` whose trace has one record per iteration performed.
     An :class:`InexactProxError` or :class:`LinesearchError` leaves with the
     failing outer iteration as its ``k`` and at the head of its message.
-    The problem's per-run state is cleared when the solve ends, whether it
-    returns or raises.
+    The per-run state of the problem and of both strategies is cleared when
+    the solve starts and when it ends, whether it returns or raises.
     """
     if isinstance(metric, str):
         metric = make_metric_strategy(metric)
     if isinstance(steplength, str):
         steplength = make_steplength_strategy(steplength, window=ritz_window)
-    problem.reset()
+    for part in (problem, metric, steplength):
+        part.reset()
     try:
         state = _initial_state(problem, x0)
         trace = []
@@ -295,5 +296,6 @@ def minimize(problem, config, x0, metric="identity", steplength="bb",
             if rel_step <= config.stop_tol:
                 break
     finally:
-        problem.reset()  # per-run state ends with the solve, even a failed one
+        for part in (problem, metric, steplength):  # even after a failure
+            part.reset()
     return SolveResult(x=state.x, trace=trace)

@@ -1,12 +1,13 @@
 """Pluggable scaling-metric and steplength strategies for the solver.
 
 Strategies propose; :func:`vmprox.solver.solver_step` clamps.  A metric
-strategy returns the entries of a diagonal ``D^{-1}``: identity,
-split-gradient scalings for the two deconvolution objectives, or a
-Lipschitz-diagonal majorant fallback; ``kinds`` lists the problem kinds it
-can scale (``None``: all).  A steplength strategy returns a positive
-steplength from a Barzilai-Borwein rule or from a queue of reciprocal Ritz
-values built from recent scaled reduced gradients.
+strategy returns the entries of a diagonal ``D^{-1}``: identity, the
+split-gradient scaling that each deconvolution model derives from its own
+gradient, or a Lipschitz-diagonal majorant fallback; ``kinds`` lists the
+problem kinds it can scale (``None``: all).  A steplength strategy returns
+a positive steplength from a Barzilai-Borwein rule or from a queue of
+reciprocal Ritz values built from recent scaled reduced gradients.
+:func:`vmprox.solver.minimize` resets every strategy around each solve.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ __all__ = [
     "reduced_gradient",
     "bb_steplength",
     "ritz_steplengths",
-    "sg_metric_gaussian",
-    "sg_metric_cauchy",
-    "majorant_diag_metric",
     "IdentityMetricStrategy",
     "SplitGradientMetricStrategy",
     "MajorantMetricStrategy",
@@ -125,49 +123,6 @@ def ritz_steplengths(history, metric, reduced_grad):
     return np.sort(1.0 / pos)
 
 
-def sg_metric_gaussian(x, problem):
-    """Split-gradient ``D^{-1}`` for the signal-dependent Gaussian objective.
-
-    ``D^{-1}_{ii} = x_i / (V_i + eps_mach)`` where ``V = H^T s`` is the
-    positive part of the gradient splitting.
-    """
-    x = np.asarray(x, dtype=float)
-    t = problem.blur(x)
-    a, b, g = problem.a, problem.b, problem.g
-    c = a * t + b
-    s = t * (a * (t + g) + 2.0 * b) / (2.0 * c * c) + 0.5 * a / c
-    V = problem.H.adjoint(s)
-    return x / (V + np.finfo(float).eps)
-
-
-def sg_metric_cauchy(x, problem):
-    """Split-gradient ``D^{-1}`` for the Cauchy-noise objective.
-
-    ``D^{-1}_{ii} = x_i / V_i`` with ``V = lambda H^T s`` and
-    ``s_i = (Hx)_i / (gamma^2 + ((Hx)_i - g_i)^2)``; ``inf`` where ``V`` is
-    not positive and ``0`` where ``x`` is.
-    """
-    x = np.asarray(x, dtype=float)
-    t = problem.blur(x)
-    r = t - problem.g
-    s = t / (problem.gamma_noise**2 + r * r)
-    V = problem.lambda_reg * problem.H.adjoint(s)
-    ratio = np.divide(x, V, out=np.full(x.shape, np.inf), where=V > 0)
-    ratio[x == 0.0] = 0.0
-    return ratio
-
-
-def majorant_diag_metric(problem):
-    """Constant Lipschitz-diagonal ``D^{-1} = c I``.
-
-    ``c`` multiplies a bound on the componentwise curvature of the misfit by
-    the squared operator norm of the blur.  This is a documented fallback,
-    not a majorization-minimization matrix; runs using it are flagged in
-    their summaries.
-    """
-    return np.full(problem.n, problem.curvature_bound() * problem.h_norm_sq)
-
-
 def _check_kind(strategy, problem):
     if problem.kind not in strategy.kinds:
         raise ValueError(f"no {type(strategy).__name__} for kind {problem.kind!r}")
@@ -176,6 +131,9 @@ def _check_kind(strategy, problem):
 class IdentityMetricStrategy:
     kinds = None
 
+    def reset(self):
+        pass
+
     def metric(self, x, grad, problem):
         return np.ones(problem.n)
 
@@ -183,32 +141,39 @@ class IdentityMetricStrategy:
 class SplitGradientMetricStrategy:
     kinds = ("gaussian_sd", "cauchy")
 
+    def reset(self):
+        pass
+
     def metric(self, x, grad, problem):
         _check_kind(self, problem)
-        if problem.kind == "gaussian_sd":
-            return sg_metric_gaussian(x, problem)
-        return sg_metric_cauchy(x, problem)
+        return problem.split_gradient_metric(x)
 
 
 class MajorantMetricStrategy:
-    kinds = ("gaussian_sd", "cauchy")
+    """Constant ``D^{-1}``, the misfit's curvature bound times ``||H||^2``: a
+    fallback that summaries flag, not a majorization-minimization matrix."""
 
-    def __init__(self):
+    kinds = ("gaussian_sd", "cauchy")
+    _cached = None
+
+    def reset(self):
         self._cached = None
 
     def metric(self, x, grad, problem):
         if self._cached is None:
             _check_kind(self, problem)
-            self._cached = majorant_diag_metric(problem)
+            bound = problem.curvature_bound() * problem.H.norm_sq_bound()
+            self._cached = np.full(problem.n, bound)
         return self._cached
 
 
 class BBSteplengthStrategy:
     """First Barzilai-Borwein rule with alpha_0 = 1."""
 
-    def __init__(self):
-        self._prev_x = None
-        self._prev_grad = None
+    _prev_x = _prev_grad = None
+
+    def reset(self):
+        self._prev_x = self._prev_grad = None
 
     def choose(self, x, grad, metric, problem):
         if self._prev_x is None:
@@ -236,6 +201,11 @@ class RitzSteplengthStrategy:
         self.history = deque(maxlen=window)
         self.queue = deque()
         self._bb = BBSteplengthStrategy()
+
+    def reset(self):
+        self.history.clear()
+        self.queue.clear()
+        self._bb.reset()
 
     def choose(self, x, grad, metric, problem):
         if self.queue:

@@ -55,6 +55,30 @@ def _write(tmp_path, name, text):
     return path
 
 
+# The problem keys each kind reads besides ``kind``, and a valid value for
+# every problem key.
+_DEBLUR_READS = {"image", "size", "psf_size", "psf_sigma", "observed",
+                 "clip_observed", "x0_floor"}
+_KIND_READS = {
+    "gaussian_sd": _DEBLUR_READS | {"a", "b", "rho"},
+    "cauchy": _DEBLUR_READS | {"gamma_noise", "lambda_reg"},
+    "compression": {"image", "size", "lambda_reg", "box_upper", "x0_value"},
+    "toy1d": {"x0_value"},
+}
+_KEY_VALUES = {
+    "image": "synthetic:smooth", "size": [8, 8], "psf_size": 3,
+    "psf_sigma": 1.0, "a": 1.0, "b": 1.0, "rho": 0.5, "gamma_noise": 0.02,
+    "lambda_reg": 0.35, "box_upper": 1.5, "observed": "obs.pgm",
+    "clip_observed": True, "x0_floor": 0.001, "x0_value": 1.0,
+}
+_UNREAD = [(kind, key) for kind, reads in _KIND_READS.items()
+           for key in sorted(set(_KEY_VALUES) - reads)]
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("called after an output directory failed")
+
+
 class TestSolve:
     def test_toy1d_summary(self, tmp_path, capsys):
         cfg = _write(
@@ -150,6 +174,40 @@ class TestSolve:
         assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, key", _UNREAD,
+                             ids=[f"{kind}-{key}" for kind, key in _UNREAD])
+    def test_key_the_kind_never_reads_is_config_error(self, tmp_path, capsys,
+                                                      kind, key):
+        problem = {"kind": kind, key: _KEY_VALUES[key]}
+        cfg = _write(tmp_path, "bad.yaml", yaml.safe_dump({"problem": problem}))
+        assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
+        assert f"problem keys not read by kind {kind!r}: {key}" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", sorted(_KIND_READS))
+    def test_every_key_the_kind_reads_loads(self, tmp_path, kind):
+        problem = {"kind": kind,
+                   **{key: _KEY_VALUES[key] for key in _KIND_READS[kind]}}
+        cfg = _write(tmp_path, "ok.yaml", yaml.safe_dump({"problem": problem}))
+        assert load_experiment(cfg).problem == problem
+
+    def test_output_directories_are_created(self, tmp_path):
+        cfg = _write(tmp_path, "toy.yaml", TOY_CONFIG.format(
+            trace="out/deeper/t.csv", summary="out/s.json"))
+        assert cli.main(["solve", str(cfg)]) == 0
+        assert (tmp_path / "out" / "deeper" / "t.csv").is_file()
+        assert (tmp_path / "out" / "s.json").is_file()
+
+    def test_uncreatable_output_directory_fails_before_the_solve(
+            self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "blocker").write_text("a file, not a directory\n")
+        cfg = _write(tmp_path, "toy.yaml", TOY_CONFIG.format(
+            trace="blocker/t.csv", summary="s.json"))
+        monkeypatch.setattr(cli, "minimize", _fail_if_called)
+        assert cli.main(["solve", str(cfg)]) == cli.EXIT_IO
+        assert "blocker" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
+
     def test_byte_identical_traces_same_seed(self, tmp_path):
         for run in ("a", "b"):
             cfg = _write(
@@ -211,6 +269,21 @@ class TestDegrade:
         first = (tmp_path / "obs.f64").read_bytes()
         assert cli.main(["degrade", str(cfg)]) == 0
         assert (tmp_path / "obs.f64").read_bytes() == first
+
+    def test_output_directory_is_created(self, tmp_path):
+        cfg = _write(tmp_path, "d.yaml", "problem:\n  kind: cauchy\n"
+                     "  size: [16, 16]\noutput:\n  observed: out/obs.f64\n")
+        assert cli.main(["degrade", str(cfg)]) == 0
+        assert (tmp_path / "out" / "obs.f64").is_file()
+
+    def test_uncreatable_output_directory_fails_before_degrading(
+            self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "blocker").write_text("a file, not a directory\n")
+        cfg = _write(tmp_path, "d.yaml", "problem:\n  kind: cauchy\n"
+                     "  size: [16, 16]\noutput:\n  observed: blocker/obs.f64\n")
+        monkeypatch.setattr(cli, "deblur_data", _fail_if_called)
+        assert cli.main(["degrade", str(cfg)]) == cli.EXIT_IO
+        assert "blocker" in capsys.readouterr().err
 
     def test_requires_observed_path(self, tmp_path):
         cfg = _write(

@@ -342,3 +342,21 @@ def test_norm_bound_is_an_upper_bound():
     x = RNG.standard_normal(256)
     rayleigh = np.dot(fd.apply(x), fd.apply(x)) / np.dot(x, x)
     assert est >= rayleigh
+
+
+@pytest.mark.parametrize("psf, shape", [
+    (gaussian_psf(3, 0.8), (5, 8)),
+    (np.random.default_rng(3).random((5, 5)), (16, 12)),
+    (gaussian_psf(9, 1.0), (32, 32)),
+    (gaussian_psf(7, 1.0), (64, 64)),
+    (gaussian_psf(9, 1.0), (128, 128)),
+], ids=["3x3-5x8", "random5x5-16x12", "9x9-32", "7x7-64", "9x9-128"])
+def test_conv_norm_is_the_largest_transfer_modulus(psf, shape):
+    H = ConvOperator2D(psf, shape)
+    bound = H.norm_sq_bound()
+    assert bound == float(np.max(np.abs(H._otf))) ** 2
+    # a unit-sum nonnegative kernel passes constants unchanged and damps
+    # every other frequency
+    assert abs(bound - 1.0) <= 1e-15
+    x = RNG.standard_normal(H.n_in)
+    assert np.dot(H.apply(x), H.apply(x)) <= bound * np.dot(x, x) * (1 + 1e-12)

@@ -214,6 +214,27 @@ class TestCompression:
                                       [True, False, True, False])
 
 
+@pytest.mark.parametrize("kind", ["gaussian_sd", "cauchy", "compression",
+                                  "toy1d"])
+def test_active_mask_is_the_rule_each_kind_stated(kind):
+    """The prox's active set matches the rule each problem class restated
+    before delegating: zero for the deblurring models, either bound of the
+    box for the others."""
+    x = np.array([0.0, -0.0, 0.3, 1.5, 10.0, 2.0, 5e-324, 1e-300])
+    shape = (2, 4)
+    if kind == "toy1d":
+        problem, rule = Toy1DBoxProblem(), (x == 0.0) | (x == 10.0)
+    elif kind == "compression":
+        problem = MaskCompressionProblem(smooth_image(shape), shape)
+        rule = (x == 0.0) | (x == 1.5)
+    else:
+        cls = {"gaussian_sd": SignalDependentGaussianProblem,
+               "cauchy": CauchyDeblurProblem}[kind]
+        problem, rule = cls(IdentityOperator(8), np.ones(8), shape), x == 0.0
+    np.testing.assert_array_equal(problem.active_mask(x), rule)
+    np.testing.assert_array_equal(problem.active_mask(list(x)), rule)
+
+
 def _old_system(p, c):
     """``MaskCompressionProblem._system`` as it was before the assembly on
     the fixed pattern and the reused column orders: a fresh COLAMD

@@ -1,12 +1,18 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vmprox.problems import Problem
+from vmprox.operators import ConvOperator2D, LinearOperator, gaussian_psf
+from vmprox.problems import (
+    CauchyDeblurProblem,
+    MaskCompressionProblem,
+    Problem,
+    SignalDependentGaussianProblem,
+    cartoon_image,
+    degrade_synthetic,
+)
 from vmprox.prox import BoxProx
 from vmprox.solver import SolverConfig, minimize
 from vmprox.strategies import (
@@ -17,13 +23,10 @@ from vmprox.strategies import (
     RitzSteplengthStrategy,
     SplitGradientMetricStrategy,
     bb_steplength,
-    majorant_diag_metric,
     make_metric_strategy,
     make_steplength_strategy,
     reduced_gradient,
     ritz_steplengths,
-    sg_metric_cauchy,
-    sg_metric_gaussian,
 )
 
 
@@ -73,6 +76,9 @@ class _Proposer:
     def update(self, x, grad, metric, alpha_used, problem):
         pass
 
+    def reset(self):
+        pass
+
 
 def _clamped(proposer, n=1, iters=1, **config):
     """Trace steplengths and the metrics seen when ``proposer`` drives the
@@ -90,32 +96,34 @@ def _clamped_metric(inv_diag, mu):
     return metrics[0]
 
 
-def _identity(x):
-    return np.array(x, dtype=float)
+class _IdentityBlur(LinearOperator):
+    """``H = I`` on ``n`` pixels, so hand values need no convolution."""
+
+    def __init__(self, n):
+        self.n_in = self.n_out = n
+
+    def apply(self, x):
+        return np.array(x, dtype=float)
+
+    def adjoint(self, y):
+        return np.array(y, dtype=float)
+
+    def norm_sq_bound(self):
+        return 1.0
 
 
-def _gaussian_stub(n=1, a=1.0, b=1.0, g=1.0):
-    p = _Stub()
-    p.kind = "gaussian_sd"
-    p.n = n
-    p.H = SimpleNamespace(apply=_identity, adjoint=_identity)
-    p.blur = _identity
-    p.a = np.full(n, a)
-    p.b = np.full(n, b)
-    p.g = np.full(n, g)
-    return p
+def _gaussian(n=1, a=1.0, b=1.0, g=1.0):
+    return SignalDependentGaussianProblem(_IdentityBlur(n), np.full(n, g),
+                                          (1, n), a=a, b=b)
 
 
-def _cauchy_stub(n=1, gamma=1.0, lam=1.0, g=0.0):
-    p = _Stub()
-    p.kind = "cauchy"
-    p.n = n
-    p.H = SimpleNamespace(apply=_identity, adjoint=_identity)
-    p.blur = _identity
-    p.gamma_noise = gamma
-    p.lambda_reg = lam
-    p.g = np.full(n, g)
-    return p
+def _cauchy(n=1, gamma=1.0, lam=1.0, g=0.0):
+    return CauchyDeblurProblem(_IdentityBlur(n), np.full(n, g), (1, n),
+                               gamma_noise=gamma, lambda_reg=lam)
+
+
+def _compression(n=4):
+    return MaskCompressionProblem(np.linspace(0.0, 1.0, n), (1, n))
 
 
 class TestDiagonalMetric:
@@ -180,7 +188,7 @@ class TestBBSteplength:
 
     def test_strategy_first_iteration_is_one(self):
         strat = BBSteplengthStrategy()
-        p = _cauchy_stub(n=2)
+        p = _cauchy(n=2)
         alpha = strat.choose(np.zeros(2), np.ones(2),
                              DiagonalMetric.identity(2, 10.0), p)
         assert alpha == 1.0
@@ -322,91 +330,187 @@ def test_ritz_lapack_calls_match_scipy_linalg_bitwise(window):
 
 
 class TestSGMetrics:
-    """The split-gradient functions propose ``D^{-1}``; the clamps into
-    ``[1/mu, mu]`` are checked on the metric the solver builds from it."""
+    """Each deblurring model proposes its split-gradient ``D^{-1}``; the
+    clamps into ``[1/mu, mu]`` are checked on the metric the solver builds
+    from it."""
 
     def test_gaussian_hand_value(self):
-        inv = sg_metric_gaussian(np.array([1.0]), _gaussian_stub())
+        inv = _gaussian().split_gradient_metric(np.array([1.0]))
         assert inv[0] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_gaussian_zero_clamps_to_floor(self):
-        inv = sg_metric_gaussian(np.zeros(1), _gaussian_stub(g=0.0))
+        inv = _gaussian(g=0.0).split_gradient_metric(np.zeros(1))
         assert inv[0] == 0.0
         m = _clamped_metric(inv, mu=100.0)
         assert 1.0 / m[0] == pytest.approx(1.0 / 100.0)
 
     def test_cauchy_hand_value(self):
-        inv = sg_metric_cauchy(np.array([1.0]), _cauchy_stub())
+        inv = _cauchy().split_gradient_metric(np.array([1.0]))
         assert inv[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_cauchy_zero_clamps_to_floor(self):
-        inv = sg_metric_cauchy(np.zeros(2), _cauchy_stub(n=2))
+        inv = _cauchy(n=2).split_gradient_metric(np.zeros(2))
         np.testing.assert_array_equal(inv, 0.0)
         m = _clamped_metric(inv, mu=50.0)
         np.testing.assert_allclose(1.0 / m, 1.0 / 50.0)
 
     def test_mu_one_gives_identity(self):
-        inv = sg_metric_cauchy(np.array([1.0]), _cauchy_stub())
-        assert _clamped_metric(inv, mu=1.0)[0] == 1.0
-        inv = sg_metric_gaussian(np.array([1.0]), _gaussian_stub())
-        assert _clamped_metric(inv, mu=1.0)[0] == 1.0
+        for p in (_cauchy(), _gaussian()):
+            inv = SplitGradientMetricStrategy().metric(np.array([1.0]), None, p)
+            assert _clamped_metric(inv, mu=1.0)[0] == 1.0
 
     def test_membership_bounds(self):
         rng = np.random.default_rng(4)
-        p = _cauchy_stub(n=16, gamma=0.1, lam=0.5, g=0.2)
+        p = _cauchy(n=16, gamma=0.1, lam=0.5, g=0.2)
         for _ in range(10):
             x = np.abs(rng.standard_normal(16))
             x[rng.random(16) < 0.3] = 0.0
-            m = _clamped_metric(sg_metric_cauchy(x, p), mu=1e4)
+            m = _clamped_metric(p.split_gradient_metric(x), mu=1e4)
             assert np.all(m >= 1e-4) and np.all(m <= 1e4)
 
     def test_dispatch_unknown_kind(self):
         strat = SplitGradientMetricStrategy()
-        p = _Stub()
-        p.kind = "compression"
         with pytest.raises(ValueError, match="for kind 'compression'"):
-            strat.metric(np.zeros(2), np.zeros(2), p)
+            strat.metric(np.zeros(4), np.zeros(4), _compression())
+
+
+def _sg_metric_gaussian(x, problem):
+    """The split-gradient metric as the strategies module computed it
+    before the models took it over: the oracle for the method."""
+    x = np.asarray(x, dtype=float)
+    t = problem.blur(x)
+    a, b, g = problem.a, problem.b, problem.g
+    c = a * t + b
+    s = t * (a * (t + g) + 2.0 * b) / (2.0 * c * c) + 0.5 * a / c
+    V = problem.H.adjoint(s)
+    return x / (V + np.finfo(float).eps)
+
+
+def _sg_metric_cauchy(x, problem):
+    x = np.asarray(x, dtype=float)
+    t = problem.blur(x)
+    r = t - problem.g
+    s = t / (problem.gamma_noise**2 + r * r)
+    V = problem.lambda_reg * problem.H.adjoint(s)
+    ratio = np.divide(x, V, out=np.full(x.shape, np.inf), where=V > 0)
+    ratio[x == 0.0] = 0.0
+    return ratio
+
+
+@st.composite
+def _sg_cases(draw):
+    """A deblurring problem and a point: identity or Gaussian blur, and
+    points with zeros, signed zeros and negative entries, so that ``V``
+    vanishes or turns negative at some pixels."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n = h * w
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blurred = h >= 3 and w >= 3 and draw(st.booleans())
+    H = ConvOperator2D(gaussian_psf(3, 1.0), (h, w)) if blurred else _IdentityBlur(n)
+    g = rng.uniform(-0.5, 1.5, n)
+    x = rng.uniform(0.0, 2.0, n)
+    x[rng.random(n) < 0.3] = 0.0
+    x[rng.random(n) < 0.1] = -0.0
+    if draw(st.booleans()):
+        x[rng.random(n) < 0.3] *= -1.0
+    if draw(st.sampled_from(["gaussian_sd", "cauchy"])) == "gaussian_sd":
+        p = SignalDependentGaussianProblem(H, g, (h, w), a=rng.uniform(0.0, 2.0),
+                                           b=rng.uniform(0.01, 2.0))
+        return p, x, _sg_metric_gaussian
+    lam = draw(st.sampled_from([0.0, 0.35, rng.uniform(0.01, 5.0)]))
+    p = CauchyDeblurProblem(H, g, (h, w), gamma_noise=rng.uniform(0.01, 1.0),
+                            lambda_reg=lam)
+    return p, x, _sg_metric_cauchy
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sg_cases())
+def test_split_gradient_metric_matches_strategy_functions_bitwise(case):
+    problem, x, oracle = case
+    with np.errstate(all="ignore"):
+        expected = oracle(x, problem)
+        got = problem.split_gradient_metric(x)
+        via_strategy = SplitGradientMetricStrategy().metric(x, None, problem)
+    for inv in (got, via_strategy):
+        np.testing.assert_array_equal(inv.view(np.int64), expected.view(np.int64))
 
 
 class TestMajorantMetric:
     def test_unit_norm_quadratic_gives_identity(self):
         # a = 0, b = 1 misfit is least squares with curvature 1; identity
         # blur has unit norm, so the scaling collapses to the identity.
-        p = _gaussian_stub(n=4, a=0.0, b=1.0, g=0.0)
-        p.curvature_bound = lambda: 1.0
-        p.h_norm_sq = 1.0
-        np.testing.assert_allclose(majorant_diag_metric(p), 1.0)
+        p = _gaussian(n=4, a=0.0, b=1.0, g=0.0)
+        assert p.curvature_bound() == 1.0
+        inv = MajorantMetricStrategy().metric(np.ones(4), None, p)
+        np.testing.assert_array_equal(inv, 1.0)
 
     def test_clamped_at_mu(self):
-        p = _Stub()
-        p.n = 3
-        p.curvature_bound = lambda: 1e9
-        p.h_norm_sq = 1e9
-        inv = majorant_diag_metric(p)
+        p = _cauchy(n=3, gamma=1.0, lam=1e18)
+        inv = MajorantMetricStrategy().metric(np.ones(3), None, p)
         np.testing.assert_array_equal(inv, 1e18)
         np.testing.assert_allclose(1.0 / _clamped_metric(inv, mu=1e3), 1e3)
 
     def test_cauchy_curvature_scaling(self):
-        p = _Stub()
-        p.n = 2
-        p.curvature_bound = lambda: 0.35 / 0.02**2
-        p.h_norm_sq = 1.0
-        np.testing.assert_allclose(majorant_diag_metric(p), 0.35 / 0.0004)
+        p = _cauchy(n=2, gamma=0.02, lam=0.35)
+        inv = MajorantMetricStrategy().metric(np.ones(2), None, p)
+        np.testing.assert_allclose(inv, 0.35 / 0.0004)
 
     def test_strategy_caches(self):
-        p = _gaussian_stub(n=2, a=0.0, b=1.0, g=0.0)
-        p.curvature_bound = lambda: 1.0
-        p.h_norm_sq = 1.0
+        p = _gaussian(n=2, a=0.0, b=1.0, g=0.0)
         strat = MajorantMetricStrategy()
         m1 = strat.metric(np.zeros(2), np.zeros(2), p)
         m2 = strat.metric(np.ones(2), np.ones(2), p)
         assert m1 is m2
 
     def test_rejects_kind_like_split_gradient(self):
-        p = _Stub()
-        p.kind = "compression"
         with pytest.raises(ValueError, match="for kind 'compression'"):
-            MajorantMetricStrategy().metric(np.zeros(2), np.zeros(2), p)
+            MajorantMetricStrategy().metric(np.zeros(4), np.zeros(4),
+                                            _compression())
+
+
+def _cauchy_run(shape, metric, steplength):
+    """A 60-step Cauchy deblurring solve on a fresh problem of ``shape``."""
+    H = ConvOperator2D(gaussian_psf(7, 1.0), shape)
+    g = np.clip(degrade_synthetic(cartoon_image(shape), H, "cauchy", seed=5),
+                0.0, 1.0)
+    problem = CauchyDeblurProblem(H, g, shape)
+    cfg = SolverConfig(max_outer_iters=60, stop_tol=0.0)
+    return minimize(problem, cfg, np.maximum(g, 1e-3), metric=metric,
+                    steplength=steplength)
+
+
+def _assert_same_run(a, b):
+    np.testing.assert_array_equal(a.x.view(np.int64), b.x.view(np.int64))
+    assert [(r.alpha, r.f_next) for r in a.trace] == \
+        [(r.alpha, r.f_next) for r in b.trace]
+
+
+class TestReusedStrategies:
+    """``minimize`` resets the strategies it is given, so a reused instance
+    runs exactly as a fresh one."""
+
+    @pytest.mark.parametrize("name", ["bb", "ritz"])
+    def test_steplength_reused_gives_fresh_bits(self, name):
+        strategy = make_steplength_strategy(name)
+        first = _cauchy_run((16, 16), "sg", strategy)
+        again = _cauchy_run((16, 16), "sg", strategy)
+        fresh = _cauchy_run((16, 16), "sg", make_steplength_strategy(name))
+        assert again.trace[0].alpha == 1.0
+        _assert_same_run(first, fresh)
+        _assert_same_run(again, fresh)
+
+    def test_majorant_reused_across_sizes(self):
+        strategy = MajorantMetricStrategy()
+        _cauchy_run((16, 16), strategy, "ritz")
+        again = _cauchy_run((8, 8), strategy, "ritz")
+        fresh = _cauchy_run((8, 8), MajorantMetricStrategy(), "ritz")
+        _assert_same_run(again, fresh)
+
+    def test_state_cleared_after_solve(self):
+        ritz, majorant = RitzSteplengthStrategy(), MajorantMetricStrategy()
+        _cauchy_run((8, 8), majorant, ritz)
+        assert not ritz.history and not ritz.queue
+        assert ritz._bb._prev_x is None and majorant._cached is None
 
 
 def test_factories():

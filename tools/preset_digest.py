@@ -1,0 +1,96 @@
+"""Print short sha256 digests of what each shipped preset writes.
+
+Runs every ``presets/*.yaml`` through ``vmprox solve`` in this process,
+from a copy of the config in a temporary directory, with one BLAS thread.
+For each preset it prints the first 16 hex digits of the sha256 of the
+trace CSV, the reconstruction image (when the preset writes one), the
+solution ``x`` as float64 bytes and the JSON summary less ``wall_time_s``.
+A refactor that is meant to leave every output byte-identical prints the
+same lines before and after.
+
+    python tools/preset_digest.py                 # this checkout
+    python tools/preset_digest.py --repo ../other # another checkout's src/
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads OpenBLAS
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def run_preset(cli, config_path):
+    """Solve one preset; returns the solution and the configured outputs."""
+    cfg = cli.load_experiment(config_path)
+    outputs = {key: config_path.parent / path for key, path in cfg.output.items()}
+    for path in outputs.values():  # older checkouts do not create them
+        path.parent.mkdir(parents=True, exist_ok=True)
+    solved = []
+    minimize = cli.minimize
+
+    def capture(*args, **kwargs):
+        solved.append(minimize(*args, **kwargs))
+        return solved[-1]
+
+    cli.minimize = capture
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["solve", str(config_path)])
+    finally:
+        cli.minimize = minimize
+    if code != 0:
+        raise SystemExit(f"error: vmprox solve {config_path.name} exited with {code}")
+    return solved[0].x, outputs
+
+
+def preset_lines(cli, preset, workdir):
+    config_path = workdir / preset.name
+    shutil.copyfile(preset, config_path)
+    x, outputs = run_preset(cli, config_path)
+    lines = []
+    for key in ("trace", "reconstruction"):
+        if key in outputs:
+            lines.append((key, digest(outputs[key].read_bytes())))
+    lines.append(("x", digest(x.astype("<f8").tobytes())))
+    summary = json.loads(outputs["summary"].read_text())
+    summary.pop("wall_time_s")
+    lines.append(("summary", digest(json.dumps(summary, sort_keys=True).encode())))
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repo", type=Path, default=ROOT,
+                        help="checkout whose src/ is imported (default: this one)")
+    args = parser.parse_args(argv)
+    src = args.repo.resolve() / "src"
+    sys.path.insert(0, str(src))
+    import vmprox.cli as cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"error: imported vmprox from {cli.__file__}, not {src}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for preset in sorted((ROOT / "presets").glob("*.yaml")):
+            for key, value in preset_lines(cli, preset, Path(tmp)):
+                print(f"{preset.stem:24s} {key:15s} {value}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
