@@ -20,6 +20,7 @@ from . import diagnostics, pgm
 from .config import ConfigError, build_problem, deblur_data, load_experiment, resolve_path
 from .operators import ConvOperator2D, ForwardDifference2D, Laplacian2D, gaussian_psf
 from .problems import (
+    DEBLUR_KINDS,
     CauchyDeblurProblem,
     LinearSolveError,
     MaskCompressionProblem,
@@ -163,7 +164,10 @@ def cmd_solve(args):
     if args.seed is not None:
         cfg.seed = args.seed
     if args.max_iters is not None:
-        cfg.solver = dataclasses.replace(cfg.solver, max_outer_iters=args.max_iters)
+        try:
+            cfg.solver = dataclasses.replace(cfg.solver, max_outer_iters=args.max_iters)
+        except ValueError as exc:
+            return _input_failure(ConfigError(f"--max-iters {args.max_iters}: {exc}"))
     if args.audit:
         cfg.audit = True
     if args.trace is not None:
@@ -228,7 +232,7 @@ def cmd_degrade(args):
     except (FileNotFoundError, ConfigError) as exc:
         return _input_failure(exc)
     kind = cfg.problem["kind"]
-    if kind not in ("gaussian_sd", "cauchy"):
+    if kind not in DEBLUR_KINDS:
         print(f"config error: cannot degrade for kind {kind!r}", file=sys.stderr)
         return EXIT_CONFIG
     if "observed" not in cfg.output:
@@ -278,21 +282,12 @@ def _check_adjoints():
     return checks
 
 
-def _check_gradients(inject_bug=False):
+def _check_gradients():
     rng = np.random.default_rng(17)
     shape = (8, 8)
     H = ConvOperator2D(gaussian_psf(7, 1.0), shape)
     truth = cartoon_image(shape)
     checks = []
-
-    def bugged(grad_fn):
-        if not inject_bug:
-            return grad_fn
-
-        def wrapper(x):
-            return 1.001 * np.asarray(grad_fn(x))
-
-        return wrapper
 
     g_sd = degrade_synthetic(truth, H, "gaussian_sd", seed=5)
     prob_sd = SignalDependentGaussianProblem(H, g_sd, shape, rho=0.03)
@@ -305,7 +300,7 @@ def _check_gradients(inject_bug=False):
             worst = max(
                 worst,
                 diagnostics.fd_gradient_check(
-                    prob.f0, bugged(prob.grad_f0), x, h=1e-6, trials=10, seed=trial
+                    prob.f0, prob.grad_f0, x, h=1e-6, trials=10, seed=trial
                 ),
             )
         checks.append(_entry(name, worst, tol))
@@ -314,7 +309,7 @@ def _check_gradients(inject_bug=False):
     prob_k = MaskCompressionProblem(smooth_image(shape6), shape6, lambda_reg=0.01)
     c = rng.uniform(0.2, 1.3, prob_k.n)
     worst = diagnostics.fd_gradient_check(
-        prob_k.f0, bugged(prob_k.grad_f0), c, h=1e-6, trials=10, seed=9
+        prob_k.f0, prob_k.grad_f0, c, h=1e-6, trials=10, seed=9
     )
     checks.append(_entry("compression", worst, 1e-5))
     return checks
@@ -358,7 +353,7 @@ def _check_invariants():
 def cmd_check(args):
     suites = {
         "adjoints": _check_adjoints,
-        "gradients": lambda: _check_gradients(inject_bug=args.inject_gradient_bug),
+        "gradients": _check_gradients,
         "prox": _check_prox,
         "invariants": _check_invariants,
     }
@@ -396,11 +391,6 @@ def build_parser():
         "scope", choices=["adjoints", "gradients", "prox", "invariants", "all"]
     )
     p_check.add_argument("--json", default=None)
-    p_check.add_argument(
-        "--inject-gradient-bug",
-        action="store_true",
-        help="perturb one gradient entry (fault-injection self test)",
-    )
     p_check.set_defaults(func=cmd_check)
 
     p_degrade = sub.add_parser("degrade", help="generate synthetic observed data")

@@ -15,6 +15,7 @@ import yaml
 from . import pgm
 from .operators import ConvOperator2D, gaussian_psf
 from .problems import (
+    DEBLUR_KINDS,
     CauchyDeblurProblem,
     MaskCompressionProblem,
     SignalDependentGaussianProblem,
@@ -29,7 +30,7 @@ from .strategies import METRIC_STRATEGIES, STEPLENGTH_STRATEGIES
 __all__ = ["ConfigError", "ExperimentConfig", "load_experiment", "deblur_data",
            "build_problem"]
 
-PROBLEM_KINDS = ("gaussian_sd", "cauchy", "compression", "toy1d")
+PROBLEM_KINDS = (*DEBLUR_KINDS, "compression", "toy1d")
 METRICS = tuple(METRIC_STRATEGIES)
 STEPLENGTHS = tuple(STEPLENGTH_STRATEGIES)
 
@@ -47,8 +48,7 @@ _SOLVER_KEYS = {
     **{key: type(value) for key, value in _RUN_DEFAULTS.items()},
 }
 
-_DEBLUR = ("gaussian_sd", "cauchy")
-_IMAGE = (*_DEBLUR, "compression")
+_IMAGE = (*DEBLUR_KINDS, "compression")
 
 # Problem keys: the type of each and the kinds that read it.  A key that the
 # config's kind never reads is rejected.
@@ -56,17 +56,17 @@ _PROBLEM_KEYS = {
     "kind": (str, PROBLEM_KINDS),
     "image": (str, _IMAGE),
     "size": (list, _IMAGE),
-    "psf_size": (int, _DEBLUR),
-    "psf_sigma": (float, _DEBLUR),
+    "psf_size": (int, DEBLUR_KINDS),
+    "psf_sigma": (float, DEBLUR_KINDS),
     "a": (float, ("gaussian_sd",)),
     "b": (float, ("gaussian_sd",)),
     "rho": (float, ("gaussian_sd",)),
     "gamma_noise": (float, ("cauchy",)),
     "lambda_reg": (float, ("cauchy", "compression")),
     "box_upper": (float, ("compression",)),
-    "observed": (str, _DEBLUR),
-    "clip_observed": (bool, _DEBLUR),
-    "x0_floor": (float, _DEBLUR),
+    "observed": (str, DEBLUR_KINDS),
+    "clip_observed": (bool, DEBLUR_KINDS),
+    "x0_floor": (float, DEBLUR_KINDS),
     "x0_value": (float, ("compression", "toy1d")),
 }
 
@@ -234,38 +234,57 @@ def deblur_data(cfg: ExperimentConfig, base_dir="."):
 
     The observation is read from ``problem.observed`` when the config names
     one and is synthesized from the truth with seed ``cfg.seed`` otherwise;
-    ``clip_observed`` clips it into [0, 1].  Returns ``(truth, H, observed)``
-    with a 2-D ``truth`` and a flat ``observed``.
+    ``clip_observed`` clips it into [0, 1].  A read observation sets the
+    grid; without ``problem.image`` there is no ground truth, and a given
+    ``size`` or image must match that grid.  Returns ``(truth, H, observed)``
+    with a 2-D ``truth``, None without ground truth, and a flat ``observed``.
     """
     p = cfg.problem
-    truth = _load_base_image(p.get("image"), p.get("size"), base_dir)
+    spec = p.get("observed")
+    observed = None if spec is None else pgm.read_image(resolve_path(spec, base_dir))
+    truth = None
+    if p.get("image") is not None or observed is None:
+        truth = _load_base_image(p.get("image"), p.get("size"), base_dir)
+    shape = truth.shape if observed is None else observed.shape
+    grid = p.get("size") if truth is None else truth.shape
+    if grid is not None and tuple(grid) != shape:
+        raise ConfigError(f"problem.observed is {shape[0]}x{shape[1]} pixels, "
+                          f"not {grid[0]}x{grid[1]}")
     H = ConvOperator2D(
-        gaussian_psf(p.get("psf_size", 9), p.get("psf_sigma", 1.0)), truth.shape
+        gaussian_psf(p.get("psf_size", 9), p.get("psf_sigma", 1.0)), shape
     )
-    observed_spec = p.get("observed")
-    if observed_spec is not None:
-        observed = pgm.read_image(resolve_path(observed_spec, base_dir)).ravel()
-    else:
+    if observed is None:
         observed = degrade_synthetic(
             truth.ravel(), H, p["kind"], cfg.seed,
             **_given(p, "a", "b", "gamma_noise"),
         )
     if p.get("clip_observed", False):
         observed = np.clip(observed, 0.0, 1.0)
-    return truth, H, observed
+    return truth, H, observed.ravel()
+
+
+def _start(problem, x0, key, value):
+    """``x0``, or a :class:`ConfigError` naming ``key`` when it lies outside
+    the problem's domain."""
+    if not (np.all(np.isfinite(x0)) and problem.in_domain(x0)):
+        raise ConfigError(f"problem.{key} {value} puts the start point outside "
+                          f"the domain of kind {problem.kind!r}")
+    return x0
 
 
 def build_problem(cfg: ExperimentConfig, base_dir="."):
     """Construct the problem, ground truth, observed data and start point.
 
     Returns ``(problem, x_true, observed, x0, shape)``; ``x_true`` is None
-    when only observed data was supplied.
+    when only observed data was supplied.  A start point outside the
+    problem's domain raises :class:`ConfigError`.
     """
     p = cfg.problem
     kind = p["kind"]
     if kind == "toy1d":
         problem = Toy1DBoxProblem()
-        x0 = np.array([p.get("x0_value", 0.0)])
+        value = p.get("x0_value", 0.0)
+        x0 = _start(problem, np.array([value]), "x0_value", value)
         return problem, None, None, x0, (1, 1)
 
     if kind == "compression":
@@ -274,18 +293,18 @@ def build_problem(cfg: ExperimentConfig, base_dir="."):
         problem = MaskCompressionProblem(
             truth.ravel(), shape, **_given(p, "lambda_reg", "box_upper")
         )
-        x0 = np.full(problem.n, p.get("x0_value", 1.0))
+        value = p.get("x0_value", 1.0)
+        x0 = _start(problem, np.full(problem.n, value), "x0_value", value)
         return problem, truth.ravel(), None, x0, shape
 
     truth, H, observed = deblur_data(cfg, base_dir)
-    shape = truth.shape
-    # observed data supplied without an image has no ground truth
-    x_true = truth.ravel() if p.get("image") or p.get("observed") is None else None
     if kind == "gaussian_sd":
         problem_cls, params = SignalDependentGaussianProblem, ("a", "b", "rho")
     else:
         problem_cls, params = CauchyDeblurProblem, ("gamma_noise", "lambda_reg")
-    problem = problem_cls(H, observed, shape, **_given(p, *params),
+    problem = problem_cls(H, observed, H.shape, **_given(p, *params),
                           inner_limit=cfg.inner_limit, warm_start=cfg.warm_start)
-    x0 = np.maximum(observed, p.get("x0_floor", 0.0))
-    return problem, x_true, observed, x0, shape
+    value = p.get("x0_floor", 0.0)
+    x0 = _start(problem, np.maximum(observed, value), "x0_floor", value)
+    x_true = None if truth is None else truth.ravel()
+    return problem, x_true, observed, x0, H.shape

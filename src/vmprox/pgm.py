@@ -1,8 +1,8 @@
-"""Grayscale image I/O: binary PGM (P5, 8- or 16-bit) and a raw float64
-container for bit-exact regression dumps.
+"""Grayscale image I/O: binary PGM (P5; 16-bit written, 8- or 16-bit read)
+and a raw float64 container for bit-exact regression dumps.
 
-Pixel values travel as floats in [0, 1]; PGM writing quantizes to the
-requested bit depth, reading maps back through the stored maxval.
+Pixel values travel as floats in [0, 1]; PGM writing quantizes to 16 bits,
+reading maps back through the stored maxval.
 """
 
 from __future__ import annotations
@@ -16,20 +16,14 @@ __all__ = ["read_pgm", "write_pgm", "read_raw_f64", "write_raw_f64", "read_image
 _F64_MAGIC = b"VMPF64\n"
 
 
-def write_pgm(path, img, bits=16):
-    """Write a (height, width) float array in [0, 1] as binary PGM."""
+def write_pgm(path, img):
+    """Write a (height, width) float array in [0, 1] as 16-bit binary PGM."""
     img = np.asarray(img, dtype=float)
     if img.ndim != 2:
         raise ValueError("expected a 2-D image")
-    if bits == 8:
-        maxval, dtype = 255, ">u1"
-    elif bits == 16:
-        maxval, dtype = 65535, ">u2"
-    else:
-        raise ValueError("bits must be 8 or 16")
-    q = np.rint(np.clip(img, 0.0, 1.0) * maxval).astype(dtype)
+    q = np.rint(np.clip(img, 0.0, 1.0) * 65535).astype(">u2")
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii"))
+        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n65535\n".encode("ascii"))
         fh.write(q.tobytes())
 
 
@@ -38,7 +32,7 @@ def read_pgm(path):
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P5"):
-        raise ValueError("not a binary (P5) PGM file")
+        raise ValueError(f"{path}: not a binary (P5) PGM file")
     fields = []
     pos = 2
     while len(fields) < 3:
@@ -51,11 +45,18 @@ def read_pgm(path):
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
+        if not data[start:pos].isdigit():
+            raise ValueError(f"{path}: truncated or malformed PGM header")
         fields.append(int(data[start:pos]))
     pos += 1  # single whitespace byte after maxval
     width, height, maxval = fields
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"{path}: PGM maxval {maxval} outside 1..65535")
     dtype = ">u1" if maxval < 256 else ">u2"
-    raw = np.frombuffer(data, dtype=dtype, count=width * height, offset=pos)
+    count = width * height
+    if len(data) - pos < count * np.dtype(dtype).itemsize:
+        raise ValueError(f"{path}: truncated PGM data, {width}x{height} pixels expected")
+    raw = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
     return raw.reshape(height, width).astype(float) / maxval
 
 

@@ -92,6 +92,9 @@ class DeblurProblem(Problem):
         h, w = shape
         self.n = h * w
         self.shape = (h, w)
+        grid = tuple(getattr(H, "shape", self.shape))  # a plain LinearOperator has none
+        if grid != self.shape:
+            raise ValueError(f"blur grid {grid} differs from image grid {self.shape}")
         self.H = H
         self.g = _finite("g", np.asarray(g, dtype=float).ravel())
         if self.g.size != self.n:
@@ -221,6 +224,9 @@ class CauchyDeblurProblem(DeblurProblem):
         return self.lambda_reg / self.gamma_noise**2
 
 
+DEBLUR_KINDS = ("gaussian_sd", "cauchy")
+
+
 class _ColumnOrder:
     """COLAMD's column order for one zero pattern, applied as the symmetric
     reordering ``A[perm][:, perm]`` that SuperLU then factors in natural
@@ -296,7 +302,6 @@ class MaskCompressionProblem(Problem):
         if self.u0.size != self.n:
             raise ValueError("image size mismatch")
         self.lambda_reg = float(lambda_reg)
-        self.box_upper = float(box_upper)
         self.L = Laplacian2D(shape).sparse()
         self.prox = BoxProx(0.0, box_upper)
         # L in canonical CSC; its diagonal is nonzero on every grid
@@ -398,8 +403,8 @@ class Toy1DBoxProblem(Problem):
     kind = "toy1d"
     n = 1
 
-    def __init__(self, lower=0.0, upper=10.0):
-        self.prox = BoxProx(lower, upper)
+    def __init__(self):
+        self.prox = BoxProx(0.0, 10.0)
 
     def f0(self, x):
         x = np.asarray(x, dtype=float)

@@ -63,10 +63,6 @@ class ProxCertificate:
     inner_iters: int
     f1_tilde: float
 
-    @property
-    def gap(self):
-        return self.h_primal - self.psi_dual
-
 
 def exact_prox_box(z, lower, upper):
     """Entrywise projection onto ``[lower, upper]``."""

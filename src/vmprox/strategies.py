@@ -20,6 +20,8 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dsyevr, dtrtrs
 
+from .problems import DEBLUR_KINDS
+
 logger = logging.getLogger(__name__)
 
 __all__ = [
@@ -139,7 +141,7 @@ class IdentityMetricStrategy:
 
 
 class SplitGradientMetricStrategy:
-    kinds = ("gaussian_sd", "cauchy")
+    kinds = DEBLUR_KINDS
 
     def reset(self):
         pass
@@ -153,7 +155,7 @@ class MajorantMetricStrategy:
     """Constant ``D^{-1}``, the misfit's curvature bound times ``||H||^2``: a
     fallback that summaries flag, not a majorization-minimization matrix."""
 
-    kinds = ("gaussian_sd", "cauchy")
+    kinds = DEBLUR_KINDS
     _cached = None
 
     def reset(self):

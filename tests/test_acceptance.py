@@ -231,7 +231,7 @@ def test_criterion_7_compression_property_run():
 
     def stationarity(c):
         return float(np.linalg.norm(
-            c - np.clip(c - problem.grad_f0(c), 0.0, problem.box_upper)))
+            c - np.clip(c - problem.grad_f0(c), 0.0, problem.prox.upper)))
 
     short = minimize(problem, SolverConfig(alpha_max=1e5, max_outer_iters=1,
                                            stop_tol=0.0),

@@ -7,6 +7,7 @@ import yaml
 
 from vmprox import cli, pgm
 from vmprox.config import build_problem, load_experiment
+from vmprox.problems import SignalDependentGaussianProblem
 from vmprox.prox import InexactProxError
 from vmprox.solver import minimize
 
@@ -238,6 +239,56 @@ class TestSolve:
         assert (f"solver failure: outer iteration {ei.value.k}: "
                 "no certificate within 1 dual iterations") in err
 
+    @pytest.mark.parametrize("problem, named", [
+        ("kind: toy1d\n  x0_value: 11.0", "problem.x0_value 11.0"),
+        ("kind: compression\n  size: [8, 8]\n  x0_value: 2.0",
+         "problem.x0_value 2.0"),
+        ("kind: cauchy\n  size: [16, 16]\n  x0_floor: -1.0",
+         "problem.x0_floor -1.0"),
+    ], ids=["toy1d", "compression", "cauchy"])
+    def test_infeasible_start_is_config_error(self, tmp_path, capsys, problem,
+                                              named):
+        cfg = _write(tmp_path, "bad.yaml", f"problem:\n  {problem}\n")
+        exp = load_experiment(cfg)
+        with pytest.raises(ValueError, match="outside the domain"):
+            build_problem(exp, tmp_path)
+        assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {named} ")
+
+    def test_negative_max_iters_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "toy.yaml", TOY_CONFIG.format(
+            trace=tmp_path / "t.csv", summary=tmp_path / "s.json"))
+        assert cli.main(["solve", str(cfg), "--max-iters", "-1"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --max-iters -1: ")
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("size", [None, [12, 20]])
+    def test_observed_without_image_sets_the_grid(self, tmp_path, size):
+        observed = np.linspace(0.0, 1.0, 240).reshape(12, 20)
+        pgm.write_raw_f64(tmp_path / "obs.f64", observed)
+        problem = {"kind": "cauchy", "observed": "obs.f64",
+                   **({} if size is None else {"size": size})}
+        cfg = _write(tmp_path, "obs.yaml", yaml.safe_dump({
+            "problem": problem, "solver": {"max_outer_iters": 3},
+            "output": {"reconstruction": "r.f64", "summary": "s.json"}}))
+        assert cli.main(["solve", str(cfg)]) == 0
+        assert pgm.read_raw_f64(tmp_path / "r.f64").shape == (12, 20)
+        assert json.loads((tmp_path / "s.json").read_text())["mse_final"] is None
+
+    @pytest.mark.parametrize("problem", [
+        {"size": [20, 12]},
+        {"image": "synthetic:cartoon", "size": [16, 15]},
+    ], ids=["size", "image"])
+    def test_observed_off_the_grid_is_config_error(self, tmp_path, capsys,
+                                                   problem):
+        pgm.write_raw_f64(tmp_path / "obs.f64", np.full((12, 20), 0.5))
+        cfg = _write(tmp_path, "obs.yaml", yaml.safe_dump({"problem": {
+            "kind": "cauchy", "observed": "obs.f64", **problem}}))
+        assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
+        grid = "x".join(map(str, problem["size"]))
+        assert (f"config error: problem.observed is 12x20 pixels, not {grid}"
+                in capsys.readouterr().err)
+
     def test_seed_override_changes_data(self, tmp_path):
         cfg = _write(
             tmp_path,
@@ -307,8 +358,11 @@ class TestCheck:
         assert set(report["scopes"]) == {"adjoints", "gradients", "prox",
                                          "invariants"}
 
-    def test_injected_gradient_bug_fails(self, capsys):
-        code = cli.main(["check", "gradients", "--inject-gradient-bug"])
+    def test_injected_gradient_bug_fails(self, capsys, monkeypatch):
+        grad_f0 = SignalDependentGaussianProblem.grad_f0
+        monkeypatch.setattr(SignalDependentGaussianProblem, "grad_f0",
+                            lambda self, x: 1.001 * grad_f0(self, x))
+        code = cli.main(["check", "gradients"])
         assert code == cli.EXIT_CHECK
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is False
@@ -320,18 +374,35 @@ class TestImageIO:
         img = rng.random((9, 7))
         p1 = tmp_path / "a.pgm"
         p2 = tmp_path / "b.pgm"
-        pgm.write_pgm(p1, img, bits=16)
+        pgm.write_pgm(p1, img)
         back = pgm.read_pgm(p1)
-        pgm.write_pgm(p2, back, bits=16)
+        pgm.write_pgm(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
         assert np.abs(back - np.clip(img, 0, 1)).max() <= 0.5 / 65535
 
     def test_pgm_8bit(self, tmp_path):
         img = np.linspace(0, 1, 12).reshape(3, 4)
         path = tmp_path / "x.pgm"
-        pgm.write_pgm(path, img, bits=8)
+        path.write_bytes(b"P5\n4 3\n255\n"
+                         + np.rint(img * 255).astype(np.uint8).tobytes())
         back = pgm.read_pgm(path)
         assert np.abs(back - img).max() <= 0.5 / 255
+
+    @pytest.mark.parametrize("data, cause", [
+        (b"P5\n2 2\n0\n" + bytes(4), "PGM maxval 0 outside 1..65535"),
+        (b"P5\n2 2\n65536\n" + bytes(8), "PGM maxval 65536 outside 1..65535"),
+        (b"P5\n2 2\n255\n" + bytes(3), "truncated PGM data"),
+        (b"P5\n2 2\n65535\n" + bytes(7), "truncated PGM data"),
+        (b"P5\n2 2\n", "truncated or malformed PGM header"),
+        (b"P5\n2 -2\n255\n" + bytes(4), "truncated or malformed PGM header"),
+    ], ids=["maxval-0", "maxval-65536", "short-8bit", "short-16bit",
+            "no-maxval", "negative-height"])
+    def test_bad_pgm_names_path_and_cause(self, tmp_path, data, cause):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as ei:
+            pgm.read_pgm(path)
+        assert str(ei.value).startswith(f"{path}: {cause}")
 
     def test_raw_f64_lossless(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -214,6 +214,15 @@ class TestCompression:
                                       [True, False, True, False])
 
 
+@pytest.mark.parametrize("cls", [SignalDependentGaussianProblem,
+                                 CauchyDeblurProblem])
+def test_blur_grid_must_match_the_image_grid(cls):
+    H = ConvOperator2D(gaussian_psf(7, 1.0), (32, 32))
+    with pytest.raises(ValueError,
+                       match=r"^blur grid \(32, 32\) differs from image grid \(16, 64\)"):
+        cls(H, np.full(1024, 0.5), (16, 64))
+
+
 @pytest.mark.parametrize("kind", ["gaussian_sd", "cauchy", "compression",
                                   "toy1d"])
 def test_active_mask_is_the_rule_each_kind_stated(kind):

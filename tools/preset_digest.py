@@ -5,8 +5,11 @@ from a copy of the config in a temporary directory, with one BLAS thread.
 For each preset it prints the first 16 hex digits of the sha256 of the
 trace CSV, the reconstruction image (when the preset writes one), the
 solution ``x`` as float64 bytes and the JSON summary less ``wall_time_s``.
-A refactor that is meant to leave every output byte-identical prints the
-same lines before and after.
+Then it prints the digests of the trace CSV and of ``x`` for each of the
+eight seed-1 solves of the ``cauchy_batch_32`` benchmark workload, built
+as ``CauchyBatchWorkload`` in ``vmbench/run.py`` builds them.  A refactor
+that is meant to leave every output byte-identical prints the same lines
+before and after.
 
     python tools/preset_digest.py                 # this checkout
     python tools/preset_digest.py --repo ../other # another checkout's src/
@@ -27,6 +30,8 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -74,6 +79,27 @@ def preset_lines(cli, preset, workdir):
     return lines
 
 
+def batch_lines(vp, cli, workdir):
+    """Digests of the eight ``cauchy_batch_32`` solves at benchmark seed 1."""
+    shape = (32, 32)
+    lines = []
+    for j, state in enumerate(np.random.SeedSequence(1).generate_state(8)):
+        H = vp.ConvOperator2D(vp.gaussian_psf(9, 1.0), shape)
+        truth = vp.cartoon_image(shape)
+        observed = np.clip(
+            vp.degrade_synthetic(truth, H, "cauchy", seed=int(state)), 0.0, 1.0)
+        problem = vp.CauchyDeblurProblem(H, observed, shape)
+        result = vp.minimize(problem, vp.SolverConfig(max_outer_iters=150),
+                             np.maximum(observed, 1e-3), metric="sg",
+                             steplength="ritz")
+        trace = workdir / f"batch_{j}.csv"
+        cli.write_trace(trace, result.trace)
+        lines.append((f"cauchy_batch_32[{j}]", "trace", digest(trace.read_bytes())))
+        lines.append((f"cauchy_batch_32[{j}]", "x",
+                      digest(result.x.astype("<f8").tobytes())))
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repo", type=Path, default=ROOT,
@@ -81,6 +107,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     src = args.repo.resolve() / "src"
     sys.path.insert(0, str(src))
+    import vmprox as vp
     import vmprox.cli as cli
 
     if not Path(cli.__file__).resolve().is_relative_to(src):
@@ -89,6 +116,8 @@ def main(argv=None):
         for preset in sorted((ROOT / "presets").glob("*.yaml")):
             for key, value in preset_lines(cli, preset, Path(tmp)):
                 print(f"{preset.stem:24s} {key:15s} {value}")
+        for name, key, value in batch_lines(vp, cli, Path(tmp)):
+            print(f"{name:24s} {key:15s} {value}")
     return 0
 
 
