@@ -97,7 +97,6 @@ def _solve_summary(cfg, problem, result, x_true, observed, wall_time, report):
         "kind": problem.kind,
         "seed": cfg.seed,
         "metric": cfg.metric,
-        "metric_is_majorant_fallback": cfg.metric == "majorant",
         "steplength": cfg.steplength,
         "iterations": len(trace),
         "final_f": trace[-1].f_next if trace else None,
@@ -233,11 +232,9 @@ def cmd_degrade(args):
         return _input_failure(exc)
     kind = cfg.problem["kind"]
     if kind not in DEBLUR_KINDS:
-        print(f"config error: cannot degrade for kind {kind!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _input_failure(ConfigError(f"cannot degrade for kind {kind!r}"))
     if "observed" not in cfg.output:
-        print("config error: output.observed path required", file=sys.stderr)
-        return EXIT_CONFIG
+        return _input_failure(ConfigError("output.observed path required"))
     base_dir = Path(args.config).resolve().parent
     if args.seed is not None:
         cfg.seed = args.seed
@@ -403,6 +400,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        return _input_failure(ConfigError(f"--seed {args.seed}: must be non-negative"))
     return args.func(args)
 
 

@@ -1,11 +1,14 @@
 """Experiment configuration: schema-validated YAML documents.
 
 A configuration is one human-readable key-value document per experiment;
-unknown keys are rejected so typos fail loudly.
+keys that the experiment would not read are rejected so typos fail loudly.
+A model parameter is a keyword of its class's constructor, which states its
+name, default and (by the default) type; the key tables read them at import.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -24,77 +27,90 @@ from .problems import (
     degrade_synthetic,
     smooth_image,
 )
-from .solver import SolverConfig
+from .solver import SolverConfig, minimize
 from .strategies import METRIC_STRATEGIES, STEPLENGTH_STRATEGIES
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_experiment", "deblur_data",
            "build_problem"]
 
-PROBLEM_KINDS = (*DEBLUR_KINDS, "compression", "toy1d")
-METRICS = tuple(METRIC_STRATEGIES)
+_MODELS = {model.kind: model for model in (SignalDependentGaussianProblem,
+           CauchyDeblurProblem, MaskCompressionProblem, Toy1DBoxProblem)}
+PROBLEM_KINDS = tuple(_MODELS)
 STEPLENGTHS = tuple(STEPLENGTH_STRATEGIES)
 
-# Solver-section keys beyond the SolverConfig fields, with their defaults.
-_RUN_DEFAULTS = {
-    "metric": "identity",
-    "steplength": "bb",
-    "ritz_window": 3,
-    "inner_limit": 5000,
-    "warm_start": True,
-}
 
-_SOLVER_KEYS = {
-    **{f.name: type(f.default) for f in fields(SolverConfig)},
-    **{key: type(value) for key, value in _RUN_DEFAULTS.items()},
-}
+def _keywords(func):
+    """Name -> default of each parameter of ``func`` that has a default."""
+    params = inspect.signature(func).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
+
+
+# Solver-section keys beyond the SolverConfig fields: ``minimize``'s strategy
+# choice, and the dual prox's budget and warm start, for kinds that take them.
+_RUN_DEFAULTS = {key: value for key, value in _keywords(minimize).items()
+                 if key in ("metric", "steplength", "ritz_window")}
+_PROX_KEYS = ("inner_limit", "warm_start")
+_NOISE_KEYS = frozenset(_keywords(degrade_synthetic))
 
 _IMAGE = (*DEBLUR_KINDS, "compression")
 
-# Problem keys: the type of each and the kinds that read it.  A key that the
-# config's kind never reads is rejected.
-_PROBLEM_KEYS = {
+# Config's own problem keys: the type of each and the kinds that read it.
+# The other problem keys are the model constructors' keywords.
+_DATA_KEYS = {
     "kind": (str, PROBLEM_KINDS),
     "image": (str, _IMAGE),
     "size": (list, _IMAGE),
     "psf_size": (int, DEBLUR_KINDS),
     "psf_sigma": (float, DEBLUR_KINDS),
-    "a": (float, ("gaussian_sd",)),
-    "b": (float, ("gaussian_sd",)),
-    "rho": (float, ("gaussian_sd",)),
-    "gamma_noise": (float, ("cauchy",)),
-    "lambda_reg": (float, ("cauchy", "compression")),
-    "box_upper": (float, ("compression",)),
     "observed": (str, DEBLUR_KINDS),
     "clip_observed": (bool, DEBLUR_KINDS),
     "x0_floor": (float, DEBLUR_KINDS),
     "x0_value": (float, ("compression", "toy1d")),
 }
 
-_OUTPUT_KEYS = {
-    "reconstruction": str,
-    "trace": str,
-    "summary": str,
-    "observed": str,
-}
+_OUTPUT_KEYS = dict.fromkeys(("reconstruction", "trace", "summary", "observed"), str)
 
 _TOP_KEYS = ("problem", "solver", "seed", "audit", "output")
+
+
+def _key_tables():
+    """Key -> type of each key read: per kind in the problem section, and
+    per kind and steplength in the solver section, where only the Ritz
+    steplength reads ``ritz_window``."""
+    run = {f.name: f.default for f in fields(SolverConfig)} | _RUN_DEFAULTS
+    problem_keys, solver_keys = {}, {}
+    for kind, model in _MODELS.items():
+        params = _keywords(model)
+        problem_keys[kind] = {key: want for key, (want, kinds) in _DATA_KEYS.items()
+                              if kind in kinds}
+        problem_keys[kind].update((key, type(value)) for key, value in params.items()
+                                  if key not in _PROX_KEYS)
+        solver = run | {key: params[key] for key in _PROX_KEYS if key in params}
+        for steplength in STEPLENGTHS:
+            solver_keys[kind, steplength] = {
+                key: type(value) for key, value in solver.items()
+                if steplength == "ritz" or key != "ritz_window"}
+    return problem_keys, solver_keys
+
+
+_PROBLEM_KEYS, _SOLVER_KEYS = _key_tables()
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _check_keys(section, mapping, allowed):
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown keys in {section}: {', '.join(unknown)}")
+def _check_keys(section, mapping, allowed, reader):
+    """Reject the keys of ``mapping`` that ``reader`` does not read (those
+    outside ``allowed``, key -> type) and values of another type."""
+    unread = sorted(set(mapping) - set(allowed))
+    if unread:
+        raise ConfigError(f"{section} keys not read by {reader}: "
+                          f"{', '.join(unread)}")
     for key, value in mapping.items():
         want = allowed[key]
-        if want is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-            continue
-        if want is int and isinstance(value, bool):
-            raise ConfigError(f"{section}.{key} must be {want.__name__}")
-        if not isinstance(value, want):
+        if (not isinstance(value, (int, float) if want is float else want)
+                or isinstance(value, bool) and want is not bool):
             raise ConfigError(f"{section}.{key} must be {want.__name__}")
 
 
@@ -114,11 +130,10 @@ class ExperimentConfig:
     metric: str
     steplength: str
     ritz_window: int
-    inner_limit: int
-    warm_start: bool
     seed: int
     audit: bool
     output: dict = field(default_factory=dict)
+    prox: dict = field(default_factory=dict)  # solver keys given for the model
 
     @classmethod
     def from_dict(cls, raw):
@@ -130,50 +145,47 @@ class ExperimentConfig:
         if "problem" not in raw:
             raise ConfigError("missing 'problem' section")
         problem = _section(raw, "problem")
-        _check_keys("problem", problem, {k: t for k, (t, _) in _PROBLEM_KEYS.items()})
         kind = problem.get("kind")
         if kind not in PROBLEM_KINDS:
             raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}")
-        size = problem.get("size")
-        if size is not None:
-            if (len(size) != 2
-                    or any(not isinstance(v, int) or v < 1 for v in size)):
-                raise ConfigError("problem.size must be two positive integers")
 
         solver_raw = _section(raw, "solver")
-        _check_keys("solver", solver_raw, _SOLVER_KEYS)
+        steplength = solver_raw.get("steplength", _RUN_DEFAULTS["steplength"])
+        if steplength not in STEPLENGTHS:
+            raise ConfigError(f"solver.steplength must be one of {STEPLENGTHS}")
+        _check_keys("solver", solver_raw, _SOLVER_KEYS[kind, steplength],
+                    f"kind {kind!r} with steplength {steplength!r}")
         run = {key: solver_raw.pop(key, value)
                for key, value in _RUN_DEFAULTS.items()}
-        if run["metric"] not in METRICS:
-            raise ConfigError(f"solver.metric must be one of {METRICS}")
+        prox = {key: solver_raw.pop(key) for key in _PROX_KEYS if key in solver_raw}
+        if run["metric"] not in METRIC_STRATEGIES:
+            raise ConfigError(
+                f"solver.metric must be one of {tuple(METRIC_STRATEGIES)}")
         scalable = METRIC_STRATEGIES[run["metric"]].kinds
         if scalable is not None and kind not in scalable:
-            raise ConfigError(
-                f"solver.metric {run['metric']!r} needs problem.kind in "
-                f"{scalable}, got {kind!r}"
-            )
-        if run["steplength"] not in STEPLENGTHS:
-            raise ConfigError(f"solver.steplength must be one of {STEPLENGTHS}")
+            raise ConfigError(f"solver.metric {run['metric']!r} needs problem.kind "
+                              f"in {scalable}, got {kind!r}")
         if run["ritz_window"] < 1:
             raise ConfigError("solver.ritz_window must be at least 1")
+        _check_keys("problem", problem, _PROBLEM_KEYS[kind], f"kind {kind!r}")
+        size = problem.get("size")
+        if size is not None and (len(size) != 2 or any(
+                not isinstance(v, int) or v < 1 for v in size)):
+            raise ConfigError("problem.size must be two positive integers")
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("seed must be an integer")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         audit = raw.get("audit", False)
         if not isinstance(audit, bool):
             raise ConfigError("audit must be a boolean")
         output = _section(raw, "output")
-        _check_keys("output", output, _OUTPUT_KEYS)
+        _check_keys("output", output, _OUTPUT_KEYS, "vmprox")
         try:
             solver = SolverConfig(**solver_raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid solver settings: {exc}") from exc
-        unread = sorted(key for key in problem if kind not in _PROBLEM_KEYS[key][1])
-        if unread:
-            raise ConfigError(f"problem keys not read by kind {kind!r}: "
-                              f"{', '.join(unread)}")
         return cls(problem=problem, solver=solver, seed=seed, audit=audit,
-                   output=output, **run)
+                   output=output, prox=prox, **run)
 
 
 def load_experiment(path):
@@ -203,16 +215,8 @@ def resolve_path(path, base_dir):
     return path if path.is_absolute() else Path(base_dir) / path
 
 
-def _given(p, *keys):
-    """The entries of ``p`` among ``keys``: omitted model parameters take
-    the defaults of the constructor they are passed to."""
-    return {key: p[key] for key in keys if key in p}
-
-
-_SYNTHETIC_IMAGES = {
-    "synthetic:cartoon": cartoon_image,
-    "synthetic:smooth": smooth_image,
-}
+_SYNTHETIC_IMAGES = {"synthetic:cartoon": cartoon_image,
+                     "synthetic:smooth": smooth_image}
 
 
 def _load_base_image(spec, size, base_dir):
@@ -250,14 +254,11 @@ def deblur_data(cfg: ExperimentConfig, base_dir="."):
     if grid is not None and tuple(grid) != shape:
         raise ConfigError(f"problem.observed is {shape[0]}x{shape[1]} pixels, "
                           f"not {grid[0]}x{grid[1]}")
-    H = ConvOperator2D(
-        gaussian_psf(p.get("psf_size", 9), p.get("psf_sigma", 1.0)), shape
-    )
+    H = ConvOperator2D(gaussian_psf(p.get("psf_size", 9), p.get("psf_sigma", 1.0)),
+                       shape)
     if observed is None:
-        observed = degrade_synthetic(
-            truth.ravel(), H, p["kind"], cfg.seed,
-            **_given(p, "a", "b", "gamma_noise"),
-        )
+        observed = degrade_synthetic(truth.ravel(), H, p["kind"], cfg.seed, **{
+            key: value for key, value in p.items() if key in _NOISE_KEYS})
     if p.get("clip_observed", False):
         observed = np.clip(observed, 0.0, 1.0)
     return truth, H, observed.ravel()
@@ -281,8 +282,13 @@ def build_problem(cfg: ExperimentConfig, base_dir="."):
     """
     p = cfg.problem
     kind = p["kind"]
+    model = _MODELS[kind]
+    # The constructor keywords given: the problem keys beyond config's own
+    # and the prox keys.  Omitted ones take the constructor's defaults.
+    given = {key: value for key, value in p.items() if key not in _DATA_KEYS}
+    given.update(cfg.prox)
     if kind == "toy1d":
-        problem = Toy1DBoxProblem()
+        problem = model(**given)
         value = p.get("x0_value", 0.0)
         x0 = _start(problem, np.array([value]), "x0_value", value)
         return problem, None, None, x0, (1, 1)
@@ -290,20 +296,13 @@ def build_problem(cfg: ExperimentConfig, base_dir="."):
     if kind == "compression":
         truth = _load_base_image(p.get("image"), p.get("size"), base_dir)
         shape = truth.shape
-        problem = MaskCompressionProblem(
-            truth.ravel(), shape, **_given(p, "lambda_reg", "box_upper")
-        )
+        problem = model(truth.ravel(), shape, **given)
         value = p.get("x0_value", 1.0)
         x0 = _start(problem, np.full(problem.n, value), "x0_value", value)
         return problem, truth.ravel(), None, x0, shape
 
     truth, H, observed = deblur_data(cfg, base_dir)
-    if kind == "gaussian_sd":
-        problem_cls, params = SignalDependentGaussianProblem, ("a", "b", "rho")
-    else:
-        problem_cls, params = CauchyDeblurProblem, ("gamma_noise", "lambda_reg")
-    problem = problem_cls(H, observed, H.shape, **_given(p, *params),
-                          inner_limit=cfg.inner_limit, warm_start=cfg.warm_start)
+    problem = model(H, observed, H.shape, **given)
     value = p.get("x0_floor", 0.0)
     x0 = _start(problem, np.maximum(observed, value), "x0_floor", value)
     x_true = None if truth is None else truth.ravel()

@@ -242,7 +242,9 @@ class Laplacian2D(LinearOperator):
 def gaussian_psf(size, sigma):
     """Truncated Gaussian kernel of odd side ``size``, normalized to sum one."""
     if size % 2 == 0 or size < 1:
-        raise ValueError("size must be odd and positive")
+        raise ValueError(f"psf_size must be odd and positive, got {size}")
+    if not sigma > 0:
+        raise ValueError(f"psf_sigma must be positive, got {sigma}")
     r = (size - 1) / 2.0
     yy, xx = np.mgrid[0:size, 0:size] - r
     k = np.exp(-(xx**2 + yy**2) / (2.0 * sigma**2))

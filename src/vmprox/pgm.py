@@ -50,6 +50,8 @@ def read_pgm(path):
         fields.append(int(data[start:pos]))
     pos += 1  # single whitespace byte after maxval
     width, height, maxval = fields
+    if width == 0 or height == 0:
+        raise ValueError(f"{path}: empty PGM image, {width}x{height} pixels")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"{path}: PGM maxval {maxval} outside 1..65535")
     dtype = ">u1" if maxval < 256 else ">u2"
@@ -72,13 +74,20 @@ def write_raw_f64(path, img):
 
 
 def read_raw_f64(path):
+    """Read a raw float64 image; bad, empty or short files name the path."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_F64_MAGIC))
-        if magic != _F64_MAGIC:
-            raise ValueError("not a raw float64 image file")
-        h, w = struct.unpack("<qq", fh.read(16))
-        data = np.frombuffer(fh.read(8 * h * w), dtype=np.float64)
-    return data.reshape(h, w).copy()
+        data = fh.read()
+    start = len(_F64_MAGIC) + 16
+    if not data.startswith(_F64_MAGIC):
+        raise ValueError(f"{path}: not a raw float64 image file")
+    if len(data) < start:
+        raise ValueError(f"{path}: truncated raw float64 header")
+    h, w = struct.unpack_from("<qq", data, len(_F64_MAGIC))
+    if h < 1 or w < 1:
+        raise ValueError(f"{path}: empty raw float64 image, {h}x{w} pixels")
+    if len(data) - start < 8 * h * w:
+        raise ValueError(f"{path}: truncated raw float64 data, {h}x{w} pixels expected")
+    return np.frombuffer(data, np.float64, h * w, start).reshape(h, w).copy()
 
 
 def read_image(path):

@@ -190,8 +190,10 @@ class CauchyDeblurProblem(DeblurProblem):
 
     def __init__(self, H: LinearOperator, g, shape, gamma_noise=0.02,
                  lambda_reg=0.35, inner_limit=5000, warm_start=True):
-        if gamma_noise <= 0:
+        if not gamma_noise > 0:
             raise ValueError("gamma_noise must be positive")
+        if not lambda_reg > 0:
+            raise ValueError("lambda_reg must be positive")
         super().__init__(H, g, shape, 1.0, inner_limit, warm_start)
         self.gamma_noise = float(gamma_noise)
         self.lambda_reg = float(lambda_reg)
@@ -302,6 +304,8 @@ class MaskCompressionProblem(Problem):
         if self.u0.size != self.n:
             raise ValueError("image size mismatch")
         self.lambda_reg = float(lambda_reg)
+        if not box_upper > 0:
+            raise ValueError("box_upper must be positive")
         self.L = Laplacian2D(shape).sparse()
         self.prox = BoxProx(0.0, box_upper)
         # L in canonical CSC; its diagonal is nonzero on every grid

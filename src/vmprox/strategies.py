@@ -153,7 +153,7 @@ class SplitGradientMetricStrategy:
 
 class MajorantMetricStrategy:
     """Constant ``D^{-1}``, the misfit's curvature bound times ``||H||^2``: a
-    fallback that summaries flag, not a majorization-minimization matrix."""
+    fallback, not a majorization-minimization matrix."""
 
     kinds = DEBLUR_KINDS
     _cached = None

@@ -74,6 +74,16 @@ _KEY_VALUES = {
 }
 _UNREAD = [(kind, key) for kind, reads in _KIND_READS.items()
            for key in sorted(set(_KEY_VALUES) - reads)]
+# Solver keys that a run never reads: the dual prox's keys on kinds without a
+# dual prox, and the Ritz window with the default (BB) steplength.
+_SOLVER_UNREAD = [
+    ("compression", "inner_limit: 7", "inner_limit"),
+    ("compression", "warm_start: false", "warm_start"),
+    ("toy1d", "inner_limit: 7", "inner_limit"),
+    ("toy1d", "warm_start: false", "warm_start"),
+    ("cauchy", "steplength: bb\n  ritz_window: 3", "ritz_window"),
+    ("compression", "ritz_window: 3", "ritz_window"),
+]
 
 
 def _fail_if_called(*args, **kwargs):
@@ -184,6 +194,75 @@ class TestSolve:
         assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
         assert f"problem keys not read by kind {kind!r}: {key}" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, solver, key", _SOLVER_UNREAD,
+                             ids=[f"{kind}-{key}" for kind, _, key in _SOLVER_UNREAD])
+    def test_solver_key_the_run_never_reads_is_config_error(
+            self, tmp_path, capsys, kind, solver, key):
+        size = "" if kind == "toy1d" else "\n  size: [16, 16]"
+        cfg = _write(tmp_path, "bad.yaml",
+                     f"problem:\n  kind: {kind}{size}\nsolver:\n  {solver}\n")
+        assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
+        assert (f"config error: solver keys not read by kind {kind!r} with "
+                f"steplength 'bb': {key}\n") == capsys.readouterr().err
+
+    def test_solver_keys_the_run_reads_reach_it(self, tmp_path):
+        cfg = _write(tmp_path, "ok.yaml", yaml.safe_dump({
+            "problem": {"kind": "cauchy", "size": [16, 16], "lambda_reg": 0.5},
+            "solver": {"inner_limit": 7, "warm_start": False,
+                       "steplength": "ritz", "ritz_window": 2}}))
+        exp = load_experiment(cfg)
+        problem = build_problem(exp, tmp_path)[0]
+        assert (problem.prox.inner_limit, problem.prox.warm_start) == (7, False)
+        assert (problem.lambda_reg, exp.ritz_window) == (0.5, 2)
+
+    @pytest.mark.parametrize("problem, message", [
+        ("kind: cauchy\n  lambda_reg: -1.0", "lambda_reg must be positive"),
+        ("kind: cauchy\n  lambda_reg: 0.0", "lambda_reg must be positive"),
+        ("kind: cauchy\n  psf_sigma: 0.0", "psf_sigma must be positive, got 0.0"),
+        ("kind: cauchy\n  psf_sigma: -1.0", "psf_sigma must be positive, got -1.0"),
+        ("kind: gaussian_sd\n  psf_size: 4",
+         "psf_size must be odd and positive, got 4"),
+        ("kind: compression\n  box_upper: -1.0", "box_upper must be positive"),
+    ], ids=["lambda-negative", "lambda-zero", "sigma-zero", "sigma-negative",
+            "psf-size-even", "box-upper-negative"])
+    def test_model_value_out_of_range_names_its_key(self, tmp_path, capsys,
+                                                    recwarn, problem, message):
+        cfg = _write(tmp_path, "bad.yaml",
+                     f"problem:\n  {problem}\n  size: [16, 16]\n"
+                     "solver:\n  max_outer_iters: 3\n")
+        assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "toy.yaml", TOY_CONFIG.format(
+            trace=tmp_path / "t.csv", summary=tmp_path / "s.json"
+        ).replace("seed: 0", "seed: -1"))
+        assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
+        assert (capsys.readouterr().err
+                == "config error: seed must be a non-negative integer\n")
+
+    @pytest.mark.parametrize("command", ["solve", "degrade"])
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys,
+                                                monkeypatch, command):
+        cfg = _write(tmp_path, "c.yaml", "problem:\n  kind: cauchy\n"
+                     "  size: [16, 16]\noutput:\n  observed: obs.f64\n")
+        monkeypatch.setattr(cli, "build_problem", _fail_if_called)
+        monkeypatch.setattr(cli, "deblur_data", _fail_if_called)
+        assert cli.main([command, str(cfg), "--seed", "-1"]) == cli.EXIT_CONFIG
+        assert (capsys.readouterr().err
+                == "config error: --seed -1: must be non-negative\n")
+
+    @pytest.mark.parametrize("kind, key", [("compression", "image"),
+                                           ("cauchy", "observed")])
+    def test_empty_image_names_the_file(self, tmp_path, capsys, kind, key):
+        (tmp_path / "empty.pgm").write_bytes(b"P5\n0 4\n255\n")
+        cfg = _write(tmp_path, "e.yaml", yaml.safe_dump(
+            {"problem": {"kind": kind, key: "empty.pgm"}}))
+        assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
+        assert (f"empty.pgm: empty PGM image, 0x4 pixels"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("kind", sorted(_KIND_READS))
     def test_every_key_the_kind_reads_loads(self, tmp_path, kind):
@@ -395,13 +474,31 @@ class TestImageIO:
         (b"P5\n2 2\n65535\n" + bytes(7), "truncated PGM data"),
         (b"P5\n2 2\n", "truncated or malformed PGM header"),
         (b"P5\n2 -2\n255\n" + bytes(4), "truncated or malformed PGM header"),
+        (b"P5\n0 2\n255\n", "empty PGM image, 0x2 pixels"),
+        (b"P5\n2 0\n255\n", "empty PGM image, 2x0 pixels"),
     ], ids=["maxval-0", "maxval-65536", "short-8bit", "short-16bit",
-            "no-maxval", "negative-height"])
+            "no-maxval", "negative-height", "zero-width", "zero-height"])
     def test_bad_pgm_names_path_and_cause(self, tmp_path, data, cause):
         path = tmp_path / "bad.pgm"
         path.write_bytes(data)
         with pytest.raises(ValueError) as ei:
             pgm.read_pgm(path)
+        assert str(ei.value).startswith(f"{path}: {cause}")
+
+    @pytest.mark.parametrize("shape, damage, cause", [
+        ((4, 4), lambda data: data[:-8],
+         "truncated raw float64 data, 4x4 pixels expected"),
+        ((4, 4), lambda data: data[:12], "truncated raw float64 header"),
+        ((4, 4), lambda data: b"X" + data[1:], "not a raw float64 image file"),
+        ((4, 0), lambda data: data, "empty raw float64 image, 4x0 pixels"),
+    ], ids=["short-data", "short-header", "bad-magic", "zero-width"])
+    def test_bad_raw_f64_names_path_and_cause(self, tmp_path, shape, damage,
+                                              cause):
+        path = tmp_path / "bad.f64"
+        pgm.write_raw_f64(path, np.zeros(shape))
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError) as ei:
+            pgm.read_raw_f64(path)
         assert str(ei.value).startswith(f"{path}: {cause}")
 
     def test_raw_f64_lossless(self, tmp_path):
@@ -430,6 +527,8 @@ class TestPresets:
             cfg = load_experiment(path)
             assert cfg.problem["kind"] in ("gaussian_sd", "cauchy",
                                            "compression", "toy1d")
+            problem = build_problem(cfg, path.parent)[0]
+            assert problem.kind == cfg.problem["kind"]
 
     def test_compression_preset_runs_briefly(self, tmp_path):
         src = Path(__file__).resolve().parents[1] / "presets" / "compression_32.yaml"

@@ -28,8 +28,14 @@ def test_gaussian_psf_normalized_nonnegative():
     assert k.shape == (7, 7)
     assert np.all(k >= 0)
     assert abs(k.sum() - 1.0) < 1e-14
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^psf_size must be odd and positive, got 6"):
         gaussian_psf(6, 1.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+def test_gaussian_psf_rejects_a_nonpositive_sigma(sigma):
+    with pytest.raises(ValueError, match="^psf_sigma must be positive"):
+        gaussian_psf(7, sigma)
 
 
 def test_conv_delta_kernel_is_identity():

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -135,6 +137,12 @@ class TestCauchy:
         with pytest.raises(ValueError, match="^g has non-finite"):
             CauchyDeblurProblem(H, g, (8, 8))
 
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, float("nan")])
+    def test_nonpositive_weight_rejected(self, lam):
+        H, _, g = _deconv_setup(model="cauchy")
+        with pytest.raises(ValueError, match="^lambda_reg must be positive"):
+            CauchyDeblurProblem(H, g, (8, 8), lambda_reg=lam)
+
     def test_curvature_bound_dominates_samples(self):
         p = CauchyDeblurProblem(IdentityOperator(1), np.array([0.3]), (1, 1),
                                 gamma_noise=0.5, lambda_reg=0.7)
@@ -206,6 +214,11 @@ class TestCompression:
         u0[0] = np.inf
         with pytest.raises(ValueError, match="^u0 has non-finite"):
             MaskCompressionProblem(u0, (2, 2))
+
+    @pytest.mark.parametrize("upper", [-1.0, 0.0])
+    def test_nonpositive_box_upper_rejected(self, upper):
+        with pytest.raises(ValueError, match="^box_upper must be positive"):
+            MaskCompressionProblem(smooth_image((2, 2)), (2, 2), box_upper=upper)
 
     def test_active_mask_rule(self):
         p = MaskCompressionProblem(smooth_image((2, 2)), (2, 2))
@@ -361,6 +374,18 @@ class TestDegradeSynthetic:
         np.testing.assert_array_equal(g, H.apply(truth))
         g = degrade_synthetic(truth, H, "cauchy", seed=1, gamma_noise=0.0)
         np.testing.assert_array_equal(g, H.apply(truth))
+
+    def test_defaults_are_the_models_defaults(self):
+        noise = {name: param.default for name, param
+                 in inspect.signature(degrade_synthetic).parameters.items()
+                 if param.kind is param.KEYWORD_ONLY}
+        shared = set()
+        for model in (SignalDependentGaussianProblem, CauchyDeblurProblem):
+            params = inspect.signature(model).parameters
+            for key in set(noise) & set(params):
+                assert noise[key] == params[key].default, key
+                shared.add(key)
+        assert shared == set(noise) == {"a", "b", "gamma_noise"}
 
     def test_unknown_model(self):
         H, truth, _ = _deconv_setup()

@@ -417,7 +417,7 @@ def _sg_cases(draw):
         p = SignalDependentGaussianProblem(H, g, (h, w), a=rng.uniform(0.0, 2.0),
                                            b=rng.uniform(0.01, 2.0))
         return p, x, _sg_metric_gaussian
-    lam = draw(st.sampled_from([0.0, 0.35, rng.uniform(0.01, 5.0)]))
+    lam = draw(st.sampled_from([0.35, rng.uniform(0.01, 5.0)]))
     p = CauchyDeblurProblem(H, g, (h, w), gamma_noise=rng.uniform(0.01, 1.0),
                             lambda_reg=lam)
     return p, x, _sg_metric_cauchy
