@@ -30,7 +30,7 @@ from .problems import (
     smooth_image,
 )
 from .prox import BoxProx, DualTVProx, InexactProxError, TVNonnegRegularizer, exact_prox_box
-from .solver import SolverConfig, SolverError, minimize
+from .solver import IterateRecord, SolverConfig, SolverError, minimize
 from .strategies import DiagonalMetric
 
 EXIT_OK = 0
@@ -40,25 +40,12 @@ EXIT_SOLVER = 4
 EXIT_CHECK = 5
 
 TRACE_VERSION = "vmprox-trace-v1"
-# (column, IterateRecord attribute, type); integers are written as such
-# (``chose_tilde`` as 0/1), floats through ``repr`` so they read back exactly.
-TRACE_FIELDS = (
-    ("k", "k", int),
-    ("f_value", "f_value", float),
-    ("alpha", "alpha", float),
-    ("lambda", "lam", float),
-    ("backtracks", "backtracks", int),
-    ("step_norm", "step_norm", float),
-    ("dist_tilde", "dist_tilde", float),
-    ("h_gamma", "h_gamma", float),
-    ("epsilon_k", "epsilon_k", float),
-    ("inner_iters", "inner_iters", int),
-    ("chose_tilde", "chose_tilde", int),
-    ("f_tilde", "f_tilde", float),
-    ("f_linesearch", "f_linesearch", float),
-    ("f_next", "f_next", float),
-    ("flags", "flags", int),
-)
+# (column, IterateRecord attribute, type) per scalar field of the record, in its
+# order (``lam`` as ``lambda``); ints and bools are written as integers, floats
+# through ``repr`` so they read back exactly.  TRACE_VERSION follows the record.
+TRACE_FIELDS = tuple(("lambda" if f.name == "lam" else f.name, f.name,
+                      float if f.type == "float" else int)
+                     for f in dataclasses.fields(IterateRecord) if f.name != "y_tilde")
 TRACE_COLUMNS = tuple(column for column, _, _ in TRACE_FIELDS)
 _TRACE_TYPES = {column: kind for column, _, kind in TRACE_FIELDS}
 

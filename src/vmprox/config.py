@@ -27,6 +27,7 @@ from .problems import (
     degrade_synthetic,
     smooth_image,
 )
+from .prox import DualTVProx
 from .solver import SolverConfig, minimize
 from .strategies import METRIC_STRATEGIES, STEPLENGTH_STRATEGIES
 
@@ -46,10 +47,10 @@ def _keywords(func):
 
 
 # Solver-section keys beyond the SolverConfig fields: ``minimize``'s strategy
-# choice, and the dual prox's budget and warm start, for kinds that take them.
+# choice, and for the deblurring kinds the keywords of the dual prox they build.
 _RUN_DEFAULTS = {key: value for key, value in _keywords(minimize).items()
                  if key in ("metric", "steplength", "ritz_window")}
-_PROX_KEYS = ("inner_limit", "warm_start")
+_PROX_DEFAULTS = _keywords(DualTVProx)
 _NOISE_KEYS = frozenset(_keywords(degrade_synthetic))
 
 _IMAGE = (*DEBLUR_KINDS, "compression")
@@ -83,9 +84,8 @@ def _key_tables():
         params = _keywords(model)
         problem_keys[kind] = {key: want for key, (want, kinds) in _DATA_KEYS.items()
                               if kind in kinds}
-        problem_keys[kind].update((key, type(value)) for key, value in params.items()
-                                  if key not in _PROX_KEYS)
-        solver = run | {key: params[key] for key in _PROX_KEYS if key in params}
+        problem_keys[kind].update((key, type(value)) for key, value in params.items())
+        solver = run | (_PROX_DEFAULTS if kind in DEBLUR_KINDS else {})
         for steplength in STEPLENGTHS:
             solver_keys[kind, steplength] = {
                 key: type(value) for key, value in solver.items()
@@ -157,7 +157,7 @@ class ExperimentConfig:
                     f"kind {kind!r} with steplength {steplength!r}")
         run = {key: solver_raw.pop(key, value)
                for key, value in _RUN_DEFAULTS.items()}
-        prox = {key: solver_raw.pop(key) for key in _PROX_KEYS if key in solver_raw}
+        prox = {key: solver_raw.pop(key) for key in _PROX_DEFAULTS if key in solver_raw}
         if run["metric"] not in METRIC_STRATEGIES:
             raise ConfigError(
                 f"solver.metric must be one of {tuple(METRIC_STRATEGIES)}")
@@ -254,8 +254,11 @@ def deblur_data(cfg: ExperimentConfig, base_dir="."):
     if grid is not None and tuple(grid) != shape:
         raise ConfigError(f"problem.observed is {shape[0]}x{shape[1]} pixels, "
                           f"not {grid[0]}x{grid[1]}")
-    H = ConvOperator2D(gaussian_psf(p.get("psf_size", 9), p.get("psf_sigma", 1.0)),
-                       shape)
+    psf_size = p.get("psf_size", 9)
+    if psf_size > min(shape):
+        raise ConfigError(f"problem.psf_size {psf_size} does not fit the "
+                          f"{shape[0]}x{shape[1]} grid")
+    H = ConvOperator2D(gaussian_psf(psf_size, p.get("psf_sigma", 1.0)), shape)
     if observed is None:
         observed = degrade_synthetic(truth.ravel(), H, p["kind"], cfg.seed, **{
             key: value for key, value in p.items() if key in _NOISE_KEYS})

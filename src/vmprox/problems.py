@@ -86,9 +86,9 @@ def _finite(name, values):
 class DeblurProblem(Problem):
     """Shared set-up of the deblurring models: blur ``H``, observed image
     ``g`` and a ``rho``-weighted TV plus nonnegativity regularizer handled by
-    the inexact dual prox."""
+    the inexact dual prox, which takes the keywords ``prox``."""
 
-    def __init__(self, H: LinearOperator, g, shape, rho, inner_limit, warm_start):
+    def __init__(self, H: LinearOperator, g, shape, rho, **prox):
         h, w = shape
         self.n = h * w
         self.shape = (h, w)
@@ -99,8 +99,7 @@ class DeblurProblem(Problem):
         self.g = _finite("g", np.asarray(g, dtype=float).ravel())
         if self.g.size != self.n:
             raise ValueError("observed image size mismatch")
-        self.prox = DualTVProx(TVNonnegRegularizer(shape, rho),
-                               inner_limit=inner_limit, warm_start=warm_start)
+        self.prox = DualTVProx(TVNonnegRegularizer(shape, rho), **prox)
         self._blurred = []  # (bytes of x, H x) pairs, most recent first
 
     def reset(self):
@@ -125,14 +124,15 @@ class SignalDependentGaussianProblem(DeblurProblem):
 
     The misfit is ``0.5 * sum_i ((Hx)_i - g_i)^2 / (a_i (Hx)_i + b_i)
     + log(a_i (Hx)_i + b_i)`` (nonconvex, smooth wherever the affine variance
-    is positive); the regularizer is ``rho * TV`` plus nonnegativity.
+    is positive); the regularizer is ``rho * TV`` plus nonnegativity.  The
+    keywords ``prox`` (``inner_limit``, ``warm_start``) go to :class:`DualTVProx`.
     """
 
     kind = "gaussian_sd"
 
     def __init__(self, H: LinearOperator, g, shape, a=1.0, b=1.0, rho=0.03,
-                 inner_limit=5000, warm_start=True):
-        super().__init__(H, g, shape, rho, inner_limit, warm_start)
+                 **prox):
+        super().__init__(H, g, shape, rho, **prox)
         self.a = _finite("a", np.full(self.n, a, dtype=float))
         self.b = _finite("b", np.full(self.n, b, dtype=float))
         if np.any(self.a < 0):
@@ -183,18 +183,19 @@ class CauchyDeblurProblem(DeblurProblem):
 
     The misfit is ``(lambda/2) * sum_i log(gamma^2 + ((Hx)_i - g_i)^2)``
     (smooth everywhere, nonconvex); the regularizer is unit-weight TV plus
-    nonnegativity.
+    nonnegativity.  The keywords ``prox`` (``inner_limit``, ``warm_start``)
+    go to :class:`DualTVProx`.
     """
 
     kind = "cauchy"
 
     def __init__(self, H: LinearOperator, g, shape, gamma_noise=0.02,
-                 lambda_reg=0.35, inner_limit=5000, warm_start=True):
+                 lambda_reg=0.35, **prox):
         if not gamma_noise > 0:
             raise ValueError("gamma_noise must be positive")
         if not lambda_reg > 0:
             raise ValueError("lambda_reg must be positive")
-        super().__init__(H, g, shape, 1.0, inner_limit, warm_start)
+        super().__init__(H, g, shape, 1.0, **prox)
         self.gamma_noise = float(gamma_noise)
         self.lambda_reg = float(lambda_reg)
 

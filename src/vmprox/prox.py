@@ -238,7 +238,7 @@ class DualTVProx:
     equivalence tests).  A cheap lower bound on each candidate's merit value
     screens it first; the exact TV value is computed only for candidates the
     bound cannot reject, so the exact test picks the same iterate.  With
-    ``warm_start=True`` the accepted dual vector seeds the next call.
+    ``warm_start`` (the default) the accepted dual vector seeds the next call.
     """
 
     is_exact = False

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,15 @@ import yaml
 
 from vmprox import cli, pgm
 from vmprox.config import build_problem, load_experiment
-from vmprox.problems import SignalDependentGaussianProblem
+from vmprox.operators import ConvOperator2D, gaussian_psf
+from vmprox.problems import (
+    CauchyDeblurProblem,
+    SignalDependentGaussianProblem,
+    cartoon_image,
+    degrade_synthetic,
+)
 from vmprox.prox import InexactProxError
-from vmprox.solver import minimize
+from vmprox.solver import IterateRecord, SolverConfig, minimize
 
 TOY_CONFIG = """\
 problem:
@@ -368,6 +375,19 @@ class TestSolve:
         assert (f"config error: problem.observed is 12x20 pixels, not {grid}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("problem, message", [
+        ({"size": [8, 8]}, "problem.psf_size 9 does not fit the 8x8 grid"),
+        ({"observed": "obs.f64", "psf_size": 13},
+         "problem.psf_size 13 does not fit the 12x20 grid"),
+    ], ids=["size", "observed"])
+    def test_psf_off_the_grid_names_its_key(self, tmp_path, capsys, problem,
+                                            message):
+        pgm.write_raw_f64(tmp_path / "obs.f64", np.full((12, 20), 0.5))
+        cfg = _write(tmp_path, "psf.yaml", yaml.safe_dump(
+            {"problem": {"kind": "cauchy", **problem}}))
+        assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_seed_override_changes_data(self, tmp_path):
         cfg = _write(
             tmp_path,
@@ -561,8 +581,35 @@ class TestTraceFormat:
         )
         cli.main(["solve", str(cfg)])
         lines = (tmp_path / "t.csv").read_text().splitlines()
-        assert lines[0] == f"# {cli.TRACE_VERSION}"
-        assert lines[1].split(",") == list(cli.TRACE_COLUMNS)
+        assert lines[0] == "# vmprox-trace-v1" == f"# {cli.TRACE_VERSION}"
+        # the v1 columns: a change to IterateRecord must change TRACE_VERSION
+        assert lines[1].split(",") == list(cli.TRACE_COLUMNS) == [
+            "k", "f_value", "alpha", "lambda", "backtracks", "step_norm",
+            "dist_tilde", "h_gamma", "epsilon_k", "inner_iters", "chose_tilde",
+            "f_tilde", "f_linesearch", "f_next", "flags"]
+
+    def test_every_record_field_reads_back_exactly(self, tmp_path):
+        shape = (16, 16)
+        H = ConvOperator2D(gaussian_psf(9, 1.0), shape)
+        observed = np.clip(degrade_synthetic(cartoon_image(shape), H, "cauchy",
+                                             seed=5), 0.0, 1.0)
+        result = minimize(CauchyDeblurProblem(H, observed, shape),
+                          SolverConfig(max_outer_iters=8, stop_tol=0.0),
+                          np.maximum(observed, 1e-3), metric="sg", steplength="ritz")
+        cli.write_trace(tmp_path / "t.csv", result.trace)
+        rows = cli.read_trace(tmp_path / "t.csv")
+        assert len(rows) == len(result.trace) == 8
+        columns = {f.name: "lambda" if f.name == "lam" else f.name
+                   for f in fields(IterateRecord) if f.name != "y_tilde"}
+        for record, row in zip(result.trace, rows):
+            assert list(row) == list(columns.values())
+            assert row["chose_tilde"] in (0, 1)
+            for name, column in columns.items():
+                value, read = getattr(record, name), row[column]
+                if isinstance(value, float):
+                    assert type(read) is float and read.hex() == value.hex(), name
+                else:
+                    assert type(read) is int and read == value, name
 
     def test_unversioned_trace_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -9,10 +9,15 @@ Then it prints the digests of the trace CSV and of ``x`` for each of the
 eight seed-1 solves of the ``cauchy_batch_32`` benchmark workload, built
 as ``CauchyBatchWorkload`` in ``vmbench/run.py`` builds them.  A refactor
 that is meant to leave every output byte-identical prints the same lines
-before and after.
+before and after; ``--against`` makes that check one command.
 
-    python tools/preset_digest.py                 # this checkout
-    python tools/preset_digest.py --repo ../other # another checkout's src/
+    python tools/preset_digest.py                    # this checkout
+    python tools/preset_digest.py --repo ../other    # another checkout's src/
+    python tools/preset_digest.py --against ../other # only the lines that differ
+
+With ``--against`` the tool also runs itself on the other checkout's src/, in
+a subprocess, and prints each line that differs twice: ``-`` with the other
+checkout's value, ``+`` with this one's.  It exits 1 when any line differs.
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ import hashlib
 import io
 import json
 import shutil
+import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +111,16 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repo", type=Path, default=ROOT,
                         help="checkout whose src/ is imported (default: this one)")
+    parser.add_argument("--against", type=Path, default=None,
+                        help="checkout to compare with: print only differing lines")
     args = parser.parse_args(argv)
+    other = None
+    if args.against is not None:
+        run = subprocess.run([sys.executable, __file__, "--repo", str(args.against)],
+                             capture_output=True, text=True)
+        if run.returncode != 0:
+            raise SystemExit(f"error: the run on {args.against} failed:\n{run.stderr}")
+        other = run.stdout.splitlines()
     src = args.repo.resolve() / "src"
     sys.path.insert(0, str(src))
     import vmprox as vp
@@ -112,13 +128,21 @@ def main(argv=None):
 
     if not Path(cli.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"error: imported vmprox from {cli.__file__}, not {src}")
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for preset in sorted((ROOT / "presets").glob("*.yaml")):
             for key, value in preset_lines(cli, preset, Path(tmp)):
-                print(f"{preset.stem:24s} {key:15s} {value}")
+                lines.append(f"{preset.stem:24s} {key:15s} {value}")
         for name, key, value in batch_lines(vp, cli, Path(tmp)):
-            print(f"{name:24s} {key:15s} {value}")
-    return 0
+            lines.append(f"{name:24s} {key:15s} {value}")
+    if other is None:
+        print("\n".join(lines))
+        return 0
+    differ = [(theirs, ours) for theirs, ours
+              in zip_longest(other, lines, fillvalue="(no line)") if theirs != ours]
+    for theirs, ours in differ:
+        print(f"- {theirs}\n+ {ours}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
