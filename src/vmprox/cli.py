@@ -65,14 +65,18 @@ def write_trace(path, trace):
 
 
 def read_trace(path):
-    """Parse a trace CSV back into a list of per-row dicts."""
+    """Parse a trace CSV back into a list of per-row dicts; a row whose
+    field count is not the header's raises ``ValueError``."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != f"# {TRACE_VERSION}":
         raise ValueError("unrecognized trace file version")
     header = lines[1].split(",")
     rows = []
-    for line in lines[2:]:
+    for number, line in enumerate(lines[2:], start=3):
         parts = line.split(",")
+        if len(parts) != len(header):
+            raise ValueError(f"{path}: line {number} has {len(parts)} fields, "
+                             f"the header {len(header)}")
         rows.append({name: _TRACE_TYPES.get(name, float)(text)
                      for name, text in zip(header, parts)})
     return rows

@@ -8,7 +8,6 @@ name, default and (by the default) type; the key tables read them at import.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .problems import (
     MaskCompressionProblem,
     SignalDependentGaussianProblem,
     Toy1DBoxProblem,
+    _keywords,
     cartoon_image,
     degrade_synthetic,
     smooth_image,
@@ -40,12 +40,6 @@ PROBLEM_KINDS = tuple(_MODELS)
 STEPLENGTHS = tuple(STEPLENGTH_STRATEGIES)
 
 
-def _keywords(func):
-    """Name -> default of each parameter of ``func`` that has a default."""
-    params = inspect.signature(func).parameters.values()
-    return {p.name: p.default for p in params if p.default is not p.empty}
-
-
 # Solver-section keys beyond the SolverConfig fields: ``minimize``'s strategy
 # choice, and for the deblurring kinds the keywords of the dual prox they build.
 _RUN_DEFAULTS = {key: value for key, value in _keywords(minimize).items()
@@ -55,18 +49,19 @@ _NOISE_KEYS = frozenset(_keywords(degrade_synthetic))
 
 _IMAGE = (*DEBLUR_KINDS, "compression")
 
-# Config's own problem keys: the type of each and the kinds that read it.
-# The other problem keys are the model constructors' keywords.
+# Config's own problem keys: the type of each, and the kinds that read it,
+# each mapped to the key's default for that kind (None: no default).  The
+# other problem keys are the model constructors' keywords.
 _DATA_KEYS = {
-    "kind": (str, PROBLEM_KINDS),
-    "image": (str, _IMAGE),
-    "size": (list, _IMAGE),
-    "psf_size": (int, DEBLUR_KINDS),
-    "psf_sigma": (float, DEBLUR_KINDS),
-    "observed": (str, DEBLUR_KINDS),
-    "clip_observed": (bool, DEBLUR_KINDS),
-    "x0_floor": (float, DEBLUR_KINDS),
-    "x0_value": (float, ("compression", "toy1d")),
+    "kind": (str, dict.fromkeys(PROBLEM_KINDS)),
+    "image": (str, dict.fromkeys(_IMAGE, "synthetic:cartoon")),
+    "size": (list, dict.fromkeys(_IMAGE)),
+    "psf_size": (int, dict.fromkeys(DEBLUR_KINDS, 9)),
+    "psf_sigma": (float, dict.fromkeys(DEBLUR_KINDS, 1.0)),
+    "observed": (str, dict.fromkeys(DEBLUR_KINDS)),
+    "clip_observed": (bool, dict.fromkeys(DEBLUR_KINDS, False)),
+    "x0_floor": (float, dict.fromkeys(DEBLUR_KINDS, 0.0)),
+    "x0_value": (float, {"compression": 1.0, "toy1d": 0.0}),
 }
 
 _OUTPUT_KEYS = dict.fromkeys(("reconstruction", "trace", "summary", "observed"), str)
@@ -81,10 +76,10 @@ def _key_tables():
     run = {f.name: f.default for f in fields(SolverConfig)} | _RUN_DEFAULTS
     problem_keys, solver_keys = {}, {}
     for kind, model in _MODELS.items():
-        params = _keywords(model)
         problem_keys[kind] = {key: want for key, (want, kinds) in _DATA_KEYS.items()
                               if kind in kinds}
-        problem_keys[kind].update((key, type(value)) for key, value in params.items())
+        problem_keys[kind].update((key, type(value))
+                                  for key, value in _keywords(model).items())
         solver = run | (_PROX_DEFAULTS if kind in DEBLUR_KINDS else {})
         for steplength in STEPLENGTHS:
             solver_keys[kind, steplength] = {
@@ -170,7 +165,7 @@ class ExperimentConfig:
         _check_keys("problem", problem, _PROBLEM_KEYS[kind], f"kind {kind!r}")
         size = problem.get("size")
         if size is not None and (len(size) != 2 or any(
-                not isinstance(v, int) or v < 1 for v in size)):
+                type(v) is not int or v < 1 for v in size)):  # bool is an int type
             raise ConfigError("problem.size must be two positive integers")
         seed = raw.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -215,12 +210,16 @@ def resolve_path(path, base_dir):
     return path if path.is_absolute() else Path(base_dir) / path
 
 
+def _value(p, key):
+    """Config's own problem key ``key``: as given in ``p``, else its default."""
+    return p.get(key, _DATA_KEYS[key][1][p["kind"]])
+
+
 _SYNTHETIC_IMAGES = {"synthetic:cartoon": cartoon_image,
                      "synthetic:smooth": smooth_image}
 
 
 def _load_base_image(spec, size, base_dir):
-    spec = "synthetic:cartoon" if spec is None else spec
     if spec in _SYNTHETIC_IMAGES:
         if size is None:
             raise ConfigError("problem.size required for synthetic images")
@@ -248,21 +247,21 @@ def deblur_data(cfg: ExperimentConfig, base_dir="."):
     observed = None if spec is None else pgm.read_image(resolve_path(spec, base_dir))
     truth = None
     if p.get("image") is not None or observed is None:
-        truth = _load_base_image(p.get("image"), p.get("size"), base_dir)
+        truth = _load_base_image(_value(p, "image"), p.get("size"), base_dir)
     shape = truth.shape if observed is None else observed.shape
     grid = p.get("size") if truth is None else truth.shape
     if grid is not None and tuple(grid) != shape:
         raise ConfigError(f"problem.observed is {shape[0]}x{shape[1]} pixels, "
                           f"not {grid[0]}x{grid[1]}")
-    psf_size = p.get("psf_size", 9)
+    psf_size = _value(p, "psf_size")
     if psf_size > min(shape):
         raise ConfigError(f"problem.psf_size {psf_size} does not fit the "
                           f"{shape[0]}x{shape[1]} grid")
-    H = ConvOperator2D(gaussian_psf(psf_size, p.get("psf_sigma", 1.0)), shape)
+    H = ConvOperator2D(gaussian_psf(psf_size, _value(p, "psf_sigma")), shape)
     if observed is None:
         observed = degrade_synthetic(truth.ravel(), H, p["kind"], cfg.seed, **{
             key: value for key, value in p.items() if key in _NOISE_KEYS})
-    if p.get("clip_observed", False):
+    if _value(p, "clip_observed"):
         observed = np.clip(observed, 0.0, 1.0)
     return truth, H, observed.ravel()
 
@@ -292,21 +291,21 @@ def build_problem(cfg: ExperimentConfig, base_dir="."):
     given.update(cfg.prox)
     if kind == "toy1d":
         problem = model(**given)
-        value = p.get("x0_value", 0.0)
+        value = _value(p, "x0_value")
         x0 = _start(problem, np.array([value]), "x0_value", value)
         return problem, None, None, x0, (1, 1)
 
     if kind == "compression":
-        truth = _load_base_image(p.get("image"), p.get("size"), base_dir)
+        truth = _load_base_image(_value(p, "image"), p.get("size"), base_dir)
         shape = truth.shape
         problem = model(truth.ravel(), shape, **given)
-        value = p.get("x0_value", 1.0)
+        value = _value(p, "x0_value")
         x0 = _start(problem, np.full(problem.n, value), "x0_value", value)
         return problem, truth.ravel(), None, x0, shape
 
     truth, H, observed = deblur_data(cfg, base_dir)
     problem = model(H, observed, H.shape, **given)
-    value = p.get("x0_floor", 0.0)
+    value = _value(p, "x0_floor")
     x0 = _start(problem, np.maximum(observed, value), "x0_floor", value)
     x_true = None if truth is None else truth.ravel()
     return problem, x_true, observed, x0, H.shape

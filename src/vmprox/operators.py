@@ -192,10 +192,14 @@ class ForwardDifference2D(LinearOperator):
         return out
 
 
+def _tv_sum(dv, dh):
+    """Exact isotropic TV of the difference pairs ``(dv, dh)``."""
+    return float(np.hypot(dv, dh).sum())
+
+
 def isotropic_tv(x, shape):
     """Sum over pixels of the Euclidean norm of the forward-difference pair."""
-    pairs = ForwardDifference2D(shape).apply(x).reshape(2, *shape)
-    return float(np.hypot(*pairs).sum())
+    return _tv_sum(*ForwardDifference2D(shape).apply(x).reshape(2, *shape))
 
 
 class Laplacian2D(LinearOperator):

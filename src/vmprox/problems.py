@@ -9,6 +9,8 @@ the active-set rule used by reduced gradients.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
@@ -422,13 +424,22 @@ class Toy1DBoxProblem(Problem):
         return -2.0 / (x + 1.0) ** 2
 
 
-def degrade_synthetic(x_true, H, model, seed, *, a=1.0, b=1.0,
-                      gamma_noise=0.02):
+def _keywords(func):
+    """Name -> default of each parameter of ``func`` that has a default."""
+    params = inspect.signature(func).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
+
+
+def degrade_synthetic(x_true, H, model, seed, *,
+                      a=_keywords(SignalDependentGaussianProblem)["a"],
+                      b=_keywords(SignalDependentGaussianProblem)["b"],
+                      gamma_noise=_keywords(CauchyDeblurProblem)["gamma_noise"]):
     """Synthesize an observed image from ground truth, deterministically.
 
     ``gaussian_sd`` draws ``g = Hx + sqrt(a * Hx + b) * w`` with standard
     normal ``w``; ``cauchy`` draws ``g = Hx + gamma * tan(pi (u - 1/2))``
-    with uniform ``u`` (inverse-CDF sampling).
+    with uniform ``u`` (inverse-CDF sampling).  Each noise parameter
+    defaults to the model constructor's keyword of that name.
     """
     x_true = np.asarray(x_true, dtype=float).ravel()
     rng = np.random.default_rng(seed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ForwardDifference2D, LinearOperator, isotropic_tv
+from .operators import ForwardDifference2D, LinearOperator, _tv_sum, isotropic_tv
 
 __all__ = [
     "ProxCertificate",
@@ -49,9 +49,9 @@ class ProxCertificate:
     ``h_primal`` is the value of the full (curvature-1) proximal merit at
     ``y_tilde``, ``psi_dual`` the dual objective at ``dual_v``; weak duality
     gives ``psi_dual <= h_primal`` and acceptance enforces
-    ``h_primal <= psi_dual / (1 + tau/2)``, both nonpositive.
-    ``epsilon_k = -(tau/2) * h_gamma`` is the certified inexactness level
-    and ``f1_tilde`` the value of ``f1`` at ``y_tilde``.
+    ``h_primal <= psi_dual / (1 + tau/2)``, both nonpositive.  ``h_gamma`` is
+    the merit value at curvature ``gamma``, ``epsilon_k`` the certified
+    inexactness level and ``f1_tilde`` the value of ``f1`` at ``y_tilde``.
     """
 
     y_tilde: np.ndarray
@@ -62,6 +62,17 @@ class ProxCertificate:
     epsilon_k: float
     inner_iters: int
     f1_tilde: float
+
+
+def _certificate(y, v, psi, lin, quad, f1_y, f1_x, gamma, tau, inner_iters):
+    """Certificate of the candidate ``y`` with dual vector ``v`` and dual
+    value ``psi`` (None: an exact prox, with zero gap).  The merit value at
+    curvature ``c`` is ``lin + c * quad + f1_y - f1_x``; ``h_primal`` takes
+    ``c = 1`` and ``h_gamma`` takes ``c = gamma``."""
+    h_primal = lin + quad + f1_y - f1_x
+    h_gamma = lin + gamma * quad + f1_y - f1_x
+    return ProxCertificate(y, v, h_primal, h_primal if psi is None else psi,
+                           h_gamma, 0.5 * tau * max(0.0, -h_gamma), inner_iters, f1_y)
 
 
 def exact_prox_box(z, lower, upper):
@@ -198,27 +209,18 @@ class BoxProx:
         x = np.asarray(x)
         return (x == self.lower) | (x == self.upper)
 
-    def solve(self, x, grad, f1_x, alpha, metric, gamma, tau, gap_tol=None):
+    def solve(self, x, grad, f1_x, alpha, metric, gamma, tau):
         d = metric.diag
         z = x - alpha * grad / d
         y = exact_prox_box(z, self.lower, self.upper)
         dy = y - x
         quad = 0.5 / alpha * float(np.dot(d * dy, dy))
         lin = float(np.dot(grad, dy))
-        h_primal = lin + quad
-        h_gamma = lin + gamma * quad
-        # Exact prox: strong duality holds, report the primal value as the
-        # dual one (zero gap).
-        return ProxCertificate(
-            y_tilde=y,
-            dual_v=None,
-            h_primal=h_primal,
-            psi_dual=h_primal,
-            h_gamma=h_gamma,
-            epsilon_k=0.5 * tau * max(0.0, -h_gamma),
-            inner_iters=0,
-            f1_tilde=self.f1(y),
-        )
+        # Exact prox: strong duality holds (zero gap).  f1 is 0 at y and at a
+        # feasible x, and lin + c * quad is never -0.0 (quad >= +0.0), so the
+        # f1 terms of the merit values change none of their bits.
+        return _certificate(y, None, None, lin, quad, self.f1(y), f1_x, gamma,
+                            tau, 0)
 
 
 class DualTVProx:
@@ -329,25 +331,23 @@ class DualTVProx:
             lin = float(np.dot(grad, dy))
 
             # Both acceptance tests are monotone in the merit value, so a
-            # candidate failing one on a lower bound fails it exactly.
+            # candidate failing one on a lower bound fails it exactly.  The
+            # last candidate is certified anyway, for the reported gap.
             dv, dh = reg.fd.apply(y, diff).reshape(2, *reg.shape)
             low = _merit_lower_bound(lin, quad, dv, dh, rho, f1_x, work)
-            h1 = None
-            if math.isfinite(low) and not accepted(low, psi):
+            if (math.isfinite(low) and not accepted(low, psi)
+                    and ell < self.inner_limit):
                 continue
-            f1_y = rho * float(np.hypot(dv, dh).sum())
-            h1 = lin + quad + f1_y - f1_x
-            if accepted(h1, psi):
-                hg = lin + gamma * quad + f1_y - f1_x
+            cert = _certificate(y, v, psi, lin, quad, rho * _tv_sum(dv, dh),
+                                f1_x, gamma, tau, ell)
+            if accepted(cert.h_primal, psi):
                 if self.warm_start:
                     self._v_prev = v
-                return ProxCertificate(y, v, h1, psi, hg,
-                                       0.5 * tau * max(0.0, -hg), ell, f1_y)
+                return cert
 
-        if h1 is None:  # the last candidate was screened out
-            h1 = lin + quad + rho * float(np.hypot(dv, dh).sum()) - f1_x
+        gap = cert.h_primal - psi
         raise InexactProxError(
             f"no certificate within {self.inner_limit} dual iterations "
-            f"(last gap {h1 - psi:.3e})",
-            last_gap=h1 - psi,
+            f"(last gap {gap:.3e})",
+            last_gap=gap,
         )

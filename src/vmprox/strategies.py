@@ -23,6 +23,7 @@ from scipy.linalg.lapack import dpotrf, dsyevr, dtrtrs
 from .problems import DEBLUR_KINDS
 
 logger = logging.getLogger(__name__)
+RITZ_WINDOW = 3  # gradients per Ritz window when no window is given
 
 __all__ = [
     "DiagonalMetric",
@@ -197,7 +198,7 @@ class RitzSteplengthStrategy:
     rule.  Steplengths are consumed smallest first.
     """
 
-    def __init__(self, window=3):
+    def __init__(self, window=RITZ_WINDOW):
         if window < 1:
             raise ValueError("window must be at least 1")
         self.history = deque(maxlen=window)
@@ -241,7 +242,7 @@ def make_metric_strategy(name):
     return METRIC_STRATEGIES[name]()
 
 
-def make_steplength_strategy(name, window=3):
+def make_steplength_strategy(name, window=RITZ_WINDOW):
     if name not in STEPLENGTH_STRATEGIES:
         raise ValueError(f"unknown steplength strategy {name!r}")
     return RitzSteplengthStrategy(window) if name == "ritz" else BBSteplengthStrategy()

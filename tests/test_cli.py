@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -241,6 +244,14 @@ class TestSolve:
         assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("size", ["[true, 8]", "[8, false]"])
+    def test_boolean_size_is_config_error(self, tmp_path, capsys, size):
+        cfg = _write(tmp_path, "bad.yaml",
+                     f"problem:\n  kind: compression\n  size: {size}\n")
+        assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
+        assert (capsys.readouterr().err
+                == "config error: problem.size must be two positive integers\n")
 
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, "toy.yaml", TOY_CONFIG.format(
@@ -571,6 +582,28 @@ class TestPresets:
         assert [load_experiment(path) for path in presets] == in_use
 
 
+def test_fft_worker_count_leaves_the_trace_unchanged(tmp_path):
+    # The README says results do not depend on VMPROX_NUM_THREADS; one BLAS
+    # thread keeps the reductions fixed, so only the FFT workers vary.
+    cfg = _write(tmp_path, "c.yaml", "problem:\n  kind: cauchy\n"
+                 "  size: [32, 32]\n  clip_observed: true\n  x0_floor: 0.001\n"
+                 "solver:\n  metric: sg\n  steplength: ritz\n"
+                 "  max_outer_iters: 20\n  stop_tol: 0.0\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    traces = []
+    for workers in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   VMPROX_NUM_THREADS=workers, PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        trace = tmp_path / f"t{workers}.csv"
+        subprocess.run([sys.executable, "-m", "vmprox.cli", "solve", str(cfg),
+                        "--trace", str(trace)], env=env, check=True,
+                       capture_output=True)
+        traces.append(trace.read_bytes())
+    assert len(traces[0].splitlines()) == 2 + 20
+    assert traces[0] == traces[1]
+
+
 class TestTraceFormat:
     def test_versioned_header(self, tmp_path):
         cfg = _write(
@@ -610,6 +643,18 @@ class TestTraceFormat:
                     assert type(read) is float and read.hex() == value.hex(), name
                 else:
                     assert type(read) is int and read == value, name
+
+    @pytest.mark.parametrize("row", ["0,1.0,2.0", ",".join(["0"] * 16)],
+                             ids=["short", "long"])
+    def test_row_off_the_header_names_file_and_line(self, tmp_path, row):
+        good = ",".join(["0"] * len(cli.TRACE_COLUMNS))
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join([f"# {cli.TRACE_VERSION}",
+                                   ",".join(cli.TRACE_COLUMNS), good, row]) + "\n")
+        with pytest.raises(ValueError) as err:
+            cli.read_trace(path)
+        assert str(err.value) == (f"{path}: line 4 has {len(row.split(','))} "
+                                  f"fields, the header {len(cli.TRACE_COLUMNS)}")
 
     def test_unversioned_trace_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"

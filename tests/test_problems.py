@@ -387,6 +387,19 @@ class TestDegradeSynthetic:
                 shared.add(key)
         assert shared == set(noise) == {"a", "b", "gamma_noise"}
 
+    def test_omitted_noise_is_the_models_defaults(self):
+        H, truth, _ = _deconv_setup()
+        gauss = inspect.signature(SignalDependentGaussianProblem).parameters
+        cauchy = inspect.signature(CauchyDeblurProblem).parameters
+        np.testing.assert_array_equal(
+            degrade_synthetic(truth, H, "gaussian_sd", seed=4),
+            degrade_synthetic(truth, H, "gaussian_sd", seed=4,
+                              a=gauss["a"].default, b=gauss["b"].default))
+        np.testing.assert_array_equal(
+            degrade_synthetic(truth, H, "cauchy", seed=4),
+            degrade_synthetic(truth, H, "cauchy", seed=4,
+                              gamma_noise=cauchy["gamma_noise"].default))
+
     def test_unknown_model(self):
         H, truth, _ = _deconv_setup()
         with pytest.raises(ValueError):

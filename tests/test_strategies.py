@@ -4,6 +4,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vmprox.solver
+from vmprox.config import ExperimentConfig
 from vmprox.operators import ConvOperator2D, LinearOperator, gaussian_psf
 from vmprox.problems import (
     CauchyDeblurProblem,
@@ -524,6 +526,25 @@ def test_factories():
     assert isinstance(ritz, RitzSteplengthStrategy) and ritz.history.maxlen == 5
     with pytest.raises(ValueError):
         make_steplength_strategy("fixed")
+
+
+def test_every_default_ritz_window_is_the_same(monkeypatch):
+    built = []
+    make = vmprox.solver.make_steplength_strategy
+
+    def record(*args, **kwargs):
+        built.append(make(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(vmprox.solver, "make_steplength_strategy", record)
+    minimize(_QuadProblem(2), SolverConfig(max_outer_iters=1), np.ones(2),
+             steplength="ritz")
+    cfg = ExperimentConfig.from_dict({"problem": {"kind": "toy1d"},
+                                      "solver": {"steplength": "ritz"}})
+    windows = [RitzSteplengthStrategy().history.maxlen,
+               make_steplength_strategy("ritz").history.maxlen,
+               built[0].history.maxlen, cfg.ritz_window]
+    assert windows == [windows[0]] * 4
 
 
 def test_ritz_consumed_smallest_first():
