@@ -70,6 +70,8 @@ def read_trace(path):
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != f"# {TRACE_VERSION}":
         raise ValueError("unrecognized trace file version")
+    if len(lines) < 2:
+        raise ValueError(f"{path}: no header line")
     header = lines[1].split(",")
     rows = []
     for number, line in enumerate(lines[2:], start=3):

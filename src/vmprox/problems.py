@@ -430,9 +430,11 @@ def _keywords(func):
     return {p.name: p.default for p in params if p.default is not p.empty}
 
 
-def degrade_synthetic(x_true, H, model, seed, *,
-                      a=_keywords(SignalDependentGaussianProblem)["a"],
-                      b=_keywords(SignalDependentGaussianProblem)["b"],
+_GAUSSIAN_SD = _keywords(SignalDependentGaussianProblem)
+
+
+def degrade_synthetic(x_true, H, model, seed, *, a=_GAUSSIAN_SD["a"],
+                      b=_GAUSSIAN_SD["b"],
                       gamma_noise=_keywords(CauchyDeblurProblem)["gamma_noise"]):
     """Synthesize an observed image from ground truth, deterministically.
 

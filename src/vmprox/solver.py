@@ -183,13 +183,24 @@ def solver_step(state, problem, config, metric_strategy, steplength_strategy,
     metric = DiagonalMetric.from_inverse_diag(
         metric_strategy.metric(state.x, state.grad_f0, problem), config.mu
     )
-    alpha = float(np.clip(
-        steplength_strategy.choose(state.x, state.grad_f0, metric, problem),
-        config.alpha_min, config.alpha_max))
+    alpha = float(
+        np.clip(
+            steplength_strategy.choose(state.x, state.grad_f0, metric, problem),
+            config.alpha_min,
+            config.alpha_max,
+        )
+    )
     steplength_strategy.update(state.x, state.grad_f0, metric, alpha, problem)
 
-    cert = problem.prox.solve(state.x, state.grad_f0, state.f1_value, alpha,
-                              metric, config.gamma, config.tau)
+    cert = problem.prox.solve(
+        state.x,
+        state.grad_f0,
+        state.f1_value,
+        alpha,
+        metric,
+        config.gamma,
+        config.tau,
+    )
     if cert.h_gamma > diagnostics.merit_slack(state.f_value):
         raise SolverError(
             f"prox certificate has positive merit value {cert.h_gamma:.3e}"
@@ -207,12 +218,23 @@ def solver_step(state, problem, config, metric_strategy, steplength_strategy,
     dist_tilde = float(np.linalg.norm(y_tilde - state.x))
     step_norm = float(np.linalg.norm(x_next - state.x))
     record = IterateRecord(
-        k=state.k, f_value=state.f_value, alpha=alpha, lam=lam,
-        backtracks=backtracks, step_norm=step_norm, dist_tilde=dist_tilde,
-        h_gamma=cert.h_gamma, epsilon_k=cert.epsilon_k,
-        inner_iters=cert.inner_iters, chose_tilde=chose_tilde, f_tilde=f_tilde,
-        f_linesearch=f_ls, f_next=f_next, flags=0,
-        y_tilde=np.array(y_tilde) if retain_prox_points else None)
+        k=state.k,
+        f_value=state.f_value,
+        alpha=alpha,
+        lam=lam,
+        backtracks=backtracks,
+        step_norm=step_norm,
+        dist_tilde=dist_tilde,
+        h_gamma=cert.h_gamma,
+        epsilon_k=cert.epsilon_k,
+        inner_iters=cert.inner_iters,
+        chose_tilde=chose_tilde,
+        f_tilde=f_tilde,
+        f_linesearch=f_ls,
+        f_next=f_next,
+        flags=0,
+        y_tilde=np.array(y_tilde) if retain_prox_points else None,
+    )
     record.flags = diagnostics.iteration_flags(record, config)
 
     next_state = IterateState(x=x_next, f_value=f_next, f1_value=f1_next,

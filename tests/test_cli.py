@@ -644,17 +644,19 @@ class TestTraceFormat:
                 else:
                     assert type(read) is int and read == value, name
 
-    @pytest.mark.parametrize("row", ["0,1.0,2.0", ",".join(["0"] * 16)],
-                             ids=["short", "long"])
-    def test_row_off_the_header_names_file_and_line(self, tmp_path, row):
+    @pytest.mark.parametrize("rows, message", [
+        (["0,1.0,2.0"], "line 4 has 3 fields, the header 15"),
+        ([",".join(["0"] * 16)], "line 4 has 16 fields, the header 15"),
+        (None, "no header line"),
+    ], ids=["short", "long", "no_header"])
+    def test_row_off_the_header_names_file_and_line(self, tmp_path, rows, message):
         good = ",".join(["0"] * len(cli.TRACE_COLUMNS))
+        lines = [",".join(cli.TRACE_COLUMNS), good, *rows] if rows else []
         path = tmp_path / "t.csv"
-        path.write_text("\n".join([f"# {cli.TRACE_VERSION}",
-                                   ",".join(cli.TRACE_COLUMNS), good, row]) + "\n")
+        path.write_text("\n".join([f"# {cli.TRACE_VERSION}", *lines]) + "\n")
         with pytest.raises(ValueError) as err:
             cli.read_trace(path)
-        assert str(err.value) == (f"{path}: line 4 has {len(row.split(','))} "
-                                  f"fields, the header {len(cli.TRACE_COLUMNS)}")
+        assert str(err.value) == f"{path}: {message}"
 
     def test_unversioned_trace_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"

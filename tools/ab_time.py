@@ -89,8 +89,6 @@ def main(argv=None):
     parser.add_argument("preset", type=Path, help="experiment config to solve")
     parser.add_argument("--against", type=Path, required=True,
                         help="checkout to compare with")
-    parser.add_argument("--repo", type=Path, default=ROOT,
-                        help="checkout to time (default: this one)")
     parser.add_argument("--pairs", type=int, default=10,
                         help="timed pairs (default: 10)")
     parser.add_argument("--max-iters", type=int, default=None,
@@ -100,7 +98,7 @@ def main(argv=None):
         parser.error("--pairs must be at least 2")
     if args.max_iters is not None and args.max_iters < 1:
         parser.error("--max-iters must be at least 1")
-    ours = Side("repo", "vmprox_ab_repo", args.repo, args.preset, args.max_iters)
+    ours = Side("repo", "vmprox_ab_repo", ROOT, args.preset, args.max_iters)
     theirs = Side("against", "vmprox_ab_against", args.against, args.preset,
                   args.max_iters)
     iterations = {side.name: side.solve(timed=False) for side in (ours, theirs)}
@@ -112,7 +110,7 @@ def main(argv=None):
           f"iterations per solve: repo {iterations['repo']}, "
           f"against {iterations['against']}")
     print(f"{'side':8s} {'median_s':>9s} {'q1_s':>9s} {'q3_s':>9s}  checkout")
-    for side, checkout in ((ours, args.repo), (theirs, args.against)):
+    for side, checkout in ((ours, ROOT), (theirs, args.against)):
         q1, median, q3 = statistics.quantiles(side.times, n=4, method="inclusive")
         print(f"{side.name:8s} {median:9.4f} {q1:9.4f} {q3:9.4f}  {checkout}")
     won = sum(a < b for a, b in zip(ours.times, theirs.times))
