@@ -226,6 +226,9 @@ def _load_base_image(spec, size, base_dir):
         shape = (int(size[0]), int(size[1]))
         return _SYNTHETIC_IMAGES[spec](shape).reshape(shape)
     img = pgm.read_image(resolve_path(spec, base_dir))
+    if size is not None and tuple(size) != img.shape:
+        raise ConfigError(f"problem.size is {size[0]}x{size[1]}, but problem.image "
+                          f"{spec} is {img.shape[0]}x{img.shape[1]} pixels")
     lo, hi = img.min(), img.max()
     if hi > lo:
         img = (img - lo) / (hi - lo)

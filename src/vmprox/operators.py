@@ -7,8 +7,6 @@ upper bound on its squared spectral norm, exact for the convolution.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import scipy.sparse
 from scipy.fft._pocketfft import pypocketfft
@@ -21,15 +19,6 @@ __all__ = [
     "gaussian_psf",
     "isotropic_tv",
 ]
-
-
-def fft_workers():
-    """Worker count for the FFT-based operators (env override), read when
-    an operator is built."""
-    try:
-        return max(1, int(os.environ.get("VMPROX_NUM_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 class LinearOperator:
@@ -78,8 +67,8 @@ class ConvOperator2D(LinearOperator):
     the results are theirs bit for bit.  Calling it directly skips the
     wrappers' dispatch, shape checks and environment read, which cost more
     than the transform on small grids, and lets the product and the inverse
-    transform work in the forward transform's output.  The FFT worker count
-    (``VMPROX_NUM_THREADS``) is read once, when the operator is built.
+    transform work in the forward transform's output.  Each transform runs
+    on one worker.
     """
 
     def __init__(self, psf, shape):
@@ -97,12 +86,10 @@ class ConvOperator2D(LinearOperator):
             raise ValueError("psf larger than image grid")
         self.shape = (h, w)
         self.n_in = self.n_out = h * w
-        self._workers = fft_workers()
         embedded = np.zeros(shape)
         embedded[:kh, :kw] = psf / total
         embedded = np.roll(embedded, (-(kh // 2), -(kw // 2)), axis=(0, 1))
-        self._otf = pypocketfft.c2c(embedded, (0, 1), True, 0, None,
-                                    self._workers)
+        self._otf = pypocketfft.c2c(embedded, (0, 1), True, 0, None, 1)
         self._otf_conj = np.conj(self._otf)
 
     def norm_sq_bound(self):
@@ -125,10 +112,9 @@ class ConvOperator2D(LinearOperator):
         # because keywords add about half as much again to a 32x32 call.
         spec = pypocketfft.c2c(
             np.asarray(x, dtype=float).reshape(self.shape), (0, 1), True, 0,
-            None, self._workers)
+            None, 1)
         np.multiply(spec, otf, out=spec)
-        return pypocketfft.c2c(spec, (0, 1), False, 2, spec,
-                               self._workers).real.ravel()
+        return pypocketfft.c2c(spec, (0, 1), False, 2, spec, 1).real.ravel()
 
     def apply(self, x):
         return self._filter(x, self._otf)
@@ -205,42 +191,39 @@ def isotropic_tv(x, shape):
 class Laplacian2D(LinearOperator):
     """5-point Neumann Laplacian (interior stencil: center -4, neighbors +1).
 
-    Built as minus the composition of the forward-difference operator with
-    its adjoint, which keeps it exactly self-adjoint.
+    One canonical CSR matrix ``L = -D^T D``, where ``D`` differences the
+    pixel pairs that :class:`ForwardDifference2D` differences: each pixel
+    with the one below it and with the one to its right.  ``L`` has +1 at
+    both off-diagonal places of each pair and minus the pixel's neighbour
+    count on the diagonal, which is stored on every grid, also where it is
+    zero (1x1).  Every map, and :meth:`sparse`, uses this matrix.
     """
 
     def __init__(self, shape):
         h, w = shape
         self.shape = (h, w)
-        self.n_in = self.n_out = h * w
-        self._fd = ForwardDifference2D(shape)
+        n = self.n_in = self.n_out = h * w
+        pixel = np.arange(n).reshape(h, w)
+        lo = np.concatenate([pixel[:-1].ravel(), pixel[:, :-1].ravel()])
+        hi = np.concatenate([pixel[1:].ravel(), pixel[:, 1:].ravel()])
+        rows = np.concatenate([lo, hi, pixel.ravel()])
+        cols = np.concatenate([hi, lo, pixel.ravel()])
+        degree = np.bincount(rows[: 2 * lo.size], minlength=n)
+        data = np.concatenate([np.ones(2 * lo.size), 0.0 - degree])  # 0.0, not -0.0
+        order = np.lexsort((cols, rows))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        self._matrix = scipy.sparse.csr_matrix(
+            (data[order], cols[order], indptr), shape=(n, n))
 
     def apply(self, x):
-        return -self._fd.adjoint(self._fd.apply(x))
+        return self._matrix @ np.asarray(x, dtype=float).ravel()
 
     def adjoint(self, y):
         return self.apply(y)
 
     def sparse(self):
-        """CSR matrix of the same map, for direct linear solves."""
-        h, w = self.shape
-
-        def second_diff(k):
-            d = scipy.sparse.diags(
-                [np.ones(k - 1), -2.0 * np.ones(k), np.ones(k - 1)],
-                offsets=[-1, 0, 1],
-                format="lil",
-            )
-            d[0, 0] = -1.0
-            d[k - 1, k - 1] = -1.0
-            return d.tocsr()
-
-        eye_h = scipy.sparse.identity(h, format="csr")
-        eye_w = scipy.sparse.identity(w, format="csr")
-        lap = scipy.sparse.kron(eye_h, second_diff(w)) + scipy.sparse.kron(
-            second_diff(h), eye_w
-        )
-        return lap.tocsr()
+        """The CSR matrix ``L``, for direct linear solves."""
+        return self._matrix
 
 
 def gaussian_psf(size, sigma):

@@ -134,13 +134,17 @@ class SignalDependentGaussianProblem(DeblurProblem):
 
     def __init__(self, H: LinearOperator, g, shape, a=1.0, b=1.0, rho=0.03,
                  **prox):
-        super().__init__(H, g, shape, rho, **prox)
-        self.a = _finite("a", np.full(self.n, a, dtype=float))
-        self.b = _finite("b", np.full(self.n, b, dtype=float))
-        if np.any(self.a < 0):
+        # Before ``g``: data synthesized with a non-finite ``a`` or ``b`` is
+        # non-finite too, and the message should name the parameter.
+        a = _finite("a", np.asarray(a, dtype=float))
+        b = _finite("b", np.asarray(b, dtype=float))
+        if np.any(a < 0):
             raise ValueError("a must be nonnegative")
-        if np.any(self.b <= 0):
+        if np.any(b <= 0):
             raise ValueError("b must be positive")
+        super().__init__(H, g, shape, rho, **prox)
+        self.a = np.full(self.n, a, dtype=float)
+        self.b = np.full(self.n, b, dtype=float)
 
     def _variance(self, t):
         c = self.a * t + self.b
@@ -193,8 +197,8 @@ class CauchyDeblurProblem(DeblurProblem):
 
     def __init__(self, H: LinearOperator, g, shape, gamma_noise=0.02,
                  lambda_reg=0.35, **prox):
-        if not gamma_noise > 0:
-            raise ValueError("gamma_noise must be positive")
+        if not 0 < gamma_noise < np.inf:
+            raise ValueError("gamma_noise must be positive and finite")
         if not lambda_reg > 0:
             raise ValueError("lambda_reg must be positive")
         super().__init__(H, g, shape, 1.0, **prox)
@@ -306,12 +310,14 @@ class MaskCompressionProblem(Problem):
         self.u0 = _finite("u0", np.asarray(u0, dtype=float).ravel())
         if self.u0.size != self.n:
             raise ValueError("image size mismatch")
+        if not np.isfinite(lambda_reg):
+            raise ValueError("lambda_reg must be finite")
         self.lambda_reg = float(lambda_reg)
         if not box_upper > 0:
             raise ValueError("box_upper must be positive")
         self.L = Laplacian2D(shape).sparse()
         self.prox = BoxProx(0.0, box_upper)
-        # L in canonical CSC; its diagonal is nonzero on every grid
+        # L in canonical CSC; its diagonal is stored on every grid
         Lc = self.L.tocsc()
         self._rows, self._indptr, self._lvals = Lc.indices, Lc.indptr, Lc.data
         self._diag = np.flatnonzero(

@@ -153,8 +153,8 @@ class TVNonnegRegularizer(LinearOperator):
 
     def __init__(self, shape, rho):
         h, w = shape
-        if rho < 0:
-            raise ValueError("rho must be nonnegative")
+        if not 0 <= rho < np.inf:
+            raise ValueError("rho must be nonnegative and finite")
         self.shape = (h, w)
         self.n = h * w
         self.n_in, self.n_out = self.n, 3 * self.n

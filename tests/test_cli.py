@@ -234,8 +234,14 @@ class TestSolve:
         ("kind: gaussian_sd\n  psf_size: 4",
          "psf_size must be odd and positive, got 4"),
         ("kind: compression\n  box_upper: -1.0", "box_upper must be positive"),
+        ("kind: gaussian_sd\n  rho: .nan", "rho must be nonnegative and finite"),
+        ("kind: compression\n  lambda_reg: .nan", "lambda_reg must be finite"),
+        ("kind: gaussian_sd\n  a: .nan", "a has non-finite entries"),
+        ("kind: cauchy\n  gamma_noise: .inf",
+         "gamma_noise must be positive and finite"),
     ], ids=["lambda-negative", "lambda-zero", "sigma-zero", "sigma-negative",
-            "psf-size-even", "box-upper-negative"])
+            "psf-size-even", "box-upper-negative", "rho-nan",
+            "compression-lambda-nan", "a-nan", "gamma-inf"])
     def test_model_value_out_of_range_names_its_key(self, tmp_path, capsys,
                                                     recwarn, problem, message):
         cfg = _write(tmp_path, "bad.yaml",
@@ -385,6 +391,17 @@ class TestSolve:
         grid = "x".join(map(str, problem["size"]))
         assert (f"config error: problem.observed is 12x20 pixels, not {grid}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("kind", ["compression", "cauchy"])
+    def test_size_off_the_image_file_is_config_error(self, tmp_path, capsys,
+                                                      kind):
+        pgm.write_pgm(tmp_path / "img.pgm", np.linspace(0.0, 1.0, 256).reshape(16, 16))
+        cfg = _write(tmp_path, "img.yaml", yaml.safe_dump({"problem": {
+            "kind": kind, "image": "img.pgm", "size": [8, 8]}}))
+        assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: problem.size is 8x8, but problem.image img.pgm "
+            "is 16x16 pixels\n")
 
     @pytest.mark.parametrize("problem, message", [
         ({"size": [8, 8]}, "problem.psf_size 9 does not fit the 8x8 grid"),
@@ -580,28 +597,6 @@ class TestPresets:
         in_use = [load_experiment(path) for path in presets]
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
         assert [load_experiment(path) for path in presets] == in_use
-
-
-def test_fft_worker_count_leaves_the_trace_unchanged(tmp_path):
-    # The README says results do not depend on VMPROX_NUM_THREADS; one BLAS
-    # thread keeps the reductions fixed, so only the FFT workers vary.
-    cfg = _write(tmp_path, "c.yaml", "problem:\n  kind: cauchy\n"
-                 "  size: [32, 32]\n  clip_observed: true\n  x0_floor: 0.001\n"
-                 "solver:\n  metric: sg\n  steplength: ritz\n"
-                 "  max_outer_iters: 20\n  stop_tol: 0.0\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    traces = []
-    for workers in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   VMPROX_NUM_THREADS=workers, PYTHONPATH=os.pathsep.join(
-                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        trace = tmp_path / f"t{workers}.csv"
-        subprocess.run([sys.executable, "-m", "vmprox.cli", "solve", str(cfg),
-                        "--trace", str(trace)], env=env, check=True,
-                       capture_output=True)
-        traces.append(trace.read_bytes())
-    assert len(traces[0].splitlines()) == 2 + 20
-    assert traces[0] == traces[1]
 
 
 class TestTraceFormat:

@@ -21,6 +21,7 @@ from vmprox.operators import (
 from vmprox.prox import TVNonnegRegularizer
 
 RNG = np.random.default_rng(0)
+THIN_GRIDS = ((1, 5), (5, 1), (1, 1))
 
 
 def test_gaussian_psf_normalized_nonnegative():
@@ -97,21 +98,6 @@ def test_conv_matches_dense_definition(psf, shape):
                                    rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("side", [32, 128])
-def test_conv_results_do_not_depend_on_fft_workers(side, monkeypatch):
-    # An operator reads the worker count when it is built, so each count
-    # gets its own operator.
-    x = np.random.default_rng(side).standard_normal(side * side)
-    outs = []
-    for workers in (1, 2):
-        monkeypatch.setenv("VMPROX_NUM_THREADS", str(workers))
-        op = ConvOperator2D(gaussian_psf(9, 1.0), (side, side))
-        assert op._workers == workers
-        outs.append((op._otf, op.apply(x), op.adjoint(x)))
-    for one, two in zip(*outs):
-        np.testing.assert_array_equal(one.view(np.int64), two.view(np.int64))
-
-
 def _scipy_fft_filter(op, x, otf):
     """The ``scipy.fft.fft2``/``ifft2`` path that ``_filter`` calls the
     backend of, with the product out of place."""
@@ -183,8 +169,13 @@ def test_import_does_not_load_ndimage():
         ForwardDifference2D((16, 16)),
         Laplacian2D((16, 16)),
         TVNonnegRegularizer((16, 16), 1.0),
+        *(ForwardDifference2D(shape) for shape in THIN_GRIDS),
+        *(Laplacian2D(shape) for shape in THIN_GRIDS),
+        *(TVNonnegRegularizer(shape, 1.0) for shape in THIN_GRIDS),
     ],
-    ids=["conv7", "conv9fft", "fd", "laplacian", "stack"],
+    ids=["conv7", "conv9fft", "fd", "laplacian", "stack",
+         *(f"{name}-{h}x{w}" for name in ("fd", "laplacian", "stack")
+           for h, w in THIN_GRIDS)],
 )
 def test_adjoint_identity(op):
     assert adjoint_max_residual(op, trials=20, seed=3) <= 1e-10
@@ -221,10 +212,29 @@ def test_laplacian_stencil_and_symmetry():
     out = lap.apply(x.ravel()).reshape(9, 9)
     assert out[4, 4] == -4.0
     assert out[3, 4] == out[5, 4] == out[4, 3] == out[4, 5] == 1.0
-    assert lap.apply(np.full(81, 1.7)).max() == 0.0
+    # L is one matrix: a constant maps to exactly zero where the products
+    # are exact, and to rounding level where -3 * 1.7 rounds (the edges).
+    assert np.all(lap.apply(np.full(81, 3.0)) == 0.0)
+    assert np.abs(lap.apply(np.full(81, 1.7))).max() <= 4 * np.finfo(float).eps * 1.7
     a = RNG.standard_normal(81)
     b = RNG.standard_normal(81)
     assert abs(np.dot(lap.apply(a), b) - np.dot(a, lap.apply(b))) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1), (2, 2), (17, 5),
+                                   (32, 32)], ids=lambda shape: "%dx%d" % shape)
+def test_laplacian_matrix_is_minus_fd_adjoint_fd(shape):
+    # Column j of L is -D^T D e_j, exactly; on a side of length 1 that side
+    # has no pairs, so its diagonal share is 0 (and L is zero on 1x1).
+    fd, lap = ForwardDifference2D(shape), Laplacian2D(shape)
+    dense = lap.sparse().toarray()
+    for j in range(lap.n_in):
+        e = np.zeros(lap.n_in)
+        e[j] = 1.0
+        expected = -fd.adjoint(fd.apply(e))
+        np.testing.assert_array_equal(dense[:, j], expected)
+        np.testing.assert_array_equal(lap.apply(e), expected)
+        np.testing.assert_array_equal(lap.adjoint(e), expected)
 
 
 def test_laplacian_sparse_matches_operator():

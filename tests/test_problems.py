@@ -86,7 +86,9 @@ class TestSignalDependentGaussian:
 
     @pytest.mark.parametrize("name", ["g", "a", "b"])
     def test_non_finite_data_rejected(self, name):
-        data = {"g": np.zeros(2), "a": np.ones(2), "b": np.ones(2)}
+        # Data synthesized with a non-finite ``a`` or ``b`` is non-finite
+        # too, so ``g`` is as well, and the message names the parameter.
+        data = {"g": np.array([np.inf, 0.0]), "a": np.ones(2), "b": np.ones(2)}
         data[name][1] = np.nan
         with pytest.raises(ValueError, match=f"^{name} has non-finite"):
             SignalDependentGaussianProblem(
@@ -142,6 +144,12 @@ class TestCauchy:
         H, _, g = _deconv_setup(model="cauchy")
         with pytest.raises(ValueError, match="^lambda_reg must be positive"):
             CauchyDeblurProblem(H, g, (8, 8), lambda_reg=lam)
+
+    def test_infinite_scale_rejected(self):
+        H, _, g = _deconv_setup(model="cauchy")
+        with pytest.raises(ValueError,
+                           match="^gamma_noise must be positive and finite$"):
+            CauchyDeblurProblem(H, g, (8, 8), gamma_noise=np.inf)
 
     def test_curvature_bound_dominates_samples(self):
         p = CauchyDeblurProblem(IdentityOperator(1), np.array([0.3]), (1, 1),
@@ -219,6 +227,38 @@ class TestCompression:
     def test_nonpositive_box_upper_rejected(self, upper):
         with pytest.raises(ValueError, match="^box_upper must be positive"):
             MaskCompressionProblem(smooth_image((2, 2)), (2, 2), box_upper=upper)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, lam):
+        with pytest.raises(ValueError, match="^lambda_reg must be finite"):
+            MaskCompressionProblem(smooth_image((2, 2)), (2, 2), lambda_reg=lam)
+
+    @pytest.mark.parametrize("shape", [(1, 8), (8, 1), (1, 1)],
+                             ids=lambda shape: "%dx%d" % shape)
+    def test_thin_grid_matches_the_dense_definition(self, shape):
+        # A(c) = C + (C - I) L with L = -D^T D, D the forward differences
+        # of the neighbour pairs of the grid, built densely here.
+        h, w = shape
+        n = h * w
+        D = np.zeros((0, n))
+        for r in range(h):
+            for col in range(w):
+                for nr, nc in ((r + 1, col), (r, col + 1)):
+                    if nr < h and nc < w:
+                        row = np.zeros((1, n))
+                        row[0, r * w + col], row[0, nr * w + nc] = -1.0, 1.0
+                        D = np.vstack([D, row])
+        L = -D.T @ D
+        u0 = np.random.default_rng(n).uniform(0.0, 1.0, n)
+        p = MaskCompressionProblem(u0, shape, lambda_reg=0.01)
+        for c in (np.full(n, 0.5), np.random.default_rng(1).uniform(0.2, 1.3, n)):
+            A = np.diag(c) + (np.diag(c) - np.eye(n)) @ L
+            u = np.linalg.solve(A, c * u0)
+            f0 = 0.5 * np.sum((u - u0) ** 2) + 0.01 * c.sum()
+            grad = -np.linalg.solve(A.T, u - u0) * (u + L @ u - u0) + 0.01
+            assert p.f0(c) == pytest.approx(f0, rel=1e-10)
+            np.testing.assert_allclose(p.grad_f0(c), grad, rtol=1e-10,
+                                       atol=1e-14)
 
     def test_active_mask_rule(self):
         p = MaskCompressionProblem(smooth_image((2, 2)), (2, 2))

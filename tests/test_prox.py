@@ -618,3 +618,9 @@ class TestNormBoundTable:
             norms.add(CauchyDeblurProblem(H, g, shape).prox.reg.norm_A_sq)
         assert calls == [shape]
         assert len(norms) == 1
+
+
+@pytest.mark.parametrize("rho", [-1.0, np.nan, np.inf])
+def test_regularizer_rejects_a_weight_outside_zero_to_inf(rho):
+    with pytest.raises(ValueError, match="^rho must be nonnegative and finite$"):
+        TVNonnegRegularizer((2, 2), rho)

@@ -12,12 +12,12 @@ that is meant to leave every output byte-identical prints the same lines
 before and after; ``--against`` makes that check one command.
 
     python tools/preset_digest.py                    # this checkout
-    python tools/preset_digest.py --repo ../other    # another checkout's src/
     python tools/preset_digest.py --against ../other # only the lines that differ
 
-With ``--against`` the tool also runs itself on the other checkout's src/, in
-a subprocess, and prints each line that differs twice: ``-`` with the other
-checkout's value, ``+`` with this one's.  It exits 1 when any line differs.
+With ``--against`` the tool also imports the other checkout's ``vmprox`` into
+this process, as ``tools/ab_time.py`` does, computes its lines the same way,
+and prints each line that differs twice: ``-`` with the other checkout's
+value, ``+`` with this one's.  It exits 1 when any line differs.
 """
 
 from __future__ import annotations
@@ -29,16 +29,17 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads OpenBLAS
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import shutil
-import subprocess
 import sys
 import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
+from ab_time import load_package
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -107,27 +108,8 @@ def batch_lines(vp, cli, workdir):
     return lines
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repo", type=Path, default=ROOT,
-                        help="checkout whose src/ is imported (default: this one)")
-    parser.add_argument("--against", type=Path, default=None,
-                        help="checkout to compare with: print only differing lines")
-    args = parser.parse_args(argv)
-    other = None
-    if args.against is not None:
-        run = subprocess.run([sys.executable, __file__, "--repo", str(args.against)],
-                             capture_output=True, text=True)
-        if run.returncode != 0:
-            raise SystemExit(f"error: the run on {args.against} failed:\n{run.stderr}")
-        other = run.stdout.splitlines()
-    src = args.repo.resolve() / "src"
-    sys.path.insert(0, str(src))
-    import vmprox as vp
-    import vmprox.cli as cli
-
-    if not Path(cli.__file__).resolve().is_relative_to(src):
-        raise SystemExit(f"error: imported vmprox from {cli.__file__}, not {src}")
+def digest_lines(vp, cli):
+    """The tool's output lines for the package ``vp`` and its ``cli`` module."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for preset in sorted((ROOT / "presets").glob("*.yaml")):
@@ -135,9 +117,27 @@ def main(argv=None):
                 lines.append(f"{preset.stem:24s} {key:15s} {value}")
         for name, key, value in batch_lines(vp, cli, Path(tmp)):
             lines.append(f"{name:24s} {key:15s} {value}")
-    if other is None:
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", type=Path, default=None,
+                        help="checkout to compare with: print only differing lines")
+    args = parser.parse_args(argv)
+    src = ROOT / "src"
+    sys.path.insert(0, str(src))
+    import vmprox as vp
+    import vmprox.cli as cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"error: imported vmprox from {cli.__file__}, not {src}")
+    lines = digest_lines(vp, cli)
+    if args.against is None:
         print("\n".join(lines))
         return 0
+    other_vp = load_package("vmprox_against", args.against)
+    other = digest_lines(other_vp, importlib.import_module("vmprox_against.cli"))
     differ = [(theirs, ours) for theirs, ours
               in zip_longest(other, lines, fillvalue="(no line)") if theirs != ours]
     for theirs, ours in differ:
