@@ -5,7 +5,6 @@ from .operators import (
     ConvOperator2D,
     ForwardDifference2D,
     Laplacian2D,
-    LinearOperator,
     gaussian_psf,
     isotropic_tv,
 )

@@ -180,7 +180,6 @@ def cmd_solve(args):
             x0,
             metric=cfg.metric,
             steplength=cfg.steplength,
-            ritz_window=cfg.ritz_window,
             retain_prox_points=problem.kind == "toy1d",
         )
     except (SolverError, InexactProxError, LinearSolveError) as exc:

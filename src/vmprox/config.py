@@ -37,13 +37,12 @@ __all__ = ["ConfigError", "ExperimentConfig", "load_experiment", "deblur_data",
 _MODELS = {model.kind: model for model in (SignalDependentGaussianProblem,
            CauchyDeblurProblem, MaskCompressionProblem, Toy1DBoxProblem)}
 PROBLEM_KINDS = tuple(_MODELS)
-STEPLENGTHS = tuple(STEPLENGTH_STRATEGIES)
 
 
 # Solver-section keys beyond the SolverConfig fields: ``minimize``'s strategy
 # choice, and for the deblurring kinds the keywords of the dual prox they build.
 _RUN_DEFAULTS = {key: value for key, value in _keywords(minimize).items()
-                 if key in ("metric", "steplength", "ritz_window")}
+                 if key in ("metric", "steplength")}
 _PROX_DEFAULTS = _keywords(DualTVProx)
 _NOISE_KEYS = frozenset(_keywords(degrade_synthetic))
 
@@ -70,9 +69,8 @@ _TOP_KEYS = ("problem", "solver", "seed", "audit", "output")
 
 
 def _key_tables():
-    """Key -> type of each key read: per kind in the problem section, and
-    per kind and steplength in the solver section, where only the Ritz
-    steplength reads ``ritz_window``."""
+    """Key -> type of each key read, per kind in the problem and the solver
+    section."""
     run = {f.name: f.default for f in fields(SolverConfig)} | _RUN_DEFAULTS
     problem_keys, solver_keys = {}, {}
     for kind, model in _MODELS.items():
@@ -81,10 +79,7 @@ def _key_tables():
         problem_keys[kind].update((key, type(value))
                                   for key, value in _keywords(model).items())
         solver = run | (_PROX_DEFAULTS if kind in DEBLUR_KINDS else {})
-        for steplength in STEPLENGTHS:
-            solver_keys[kind, steplength] = {
-                key: type(value) for key, value in solver.items()
-                if steplength == "ritz" or key != "ritz_window"}
+        solver_keys[kind] = {key: type(value) for key, value in solver.items()}
     return problem_keys, solver_keys
 
 
@@ -124,7 +119,6 @@ class ExperimentConfig:
     solver: SolverConfig
     metric: str
     steplength: str
-    ritz_window: int
     seed: int
     audit: bool
     output: dict = field(default_factory=dict)
@@ -145,23 +139,18 @@ class ExperimentConfig:
             raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}")
 
         solver_raw = _section(raw, "solver")
-        steplength = solver_raw.get("steplength", _RUN_DEFAULTS["steplength"])
-        if steplength not in STEPLENGTHS:
-            raise ConfigError(f"solver.steplength must be one of {STEPLENGTHS}")
-        _check_keys("solver", solver_raw, _SOLVER_KEYS[kind, steplength],
-                    f"kind {kind!r} with steplength {steplength!r}")
+        _check_keys("solver", solver_raw, _SOLVER_KEYS[kind], f"kind {kind!r}")
         run = {key: solver_raw.pop(key, value)
                for key, value in _RUN_DEFAULTS.items()}
         prox = {key: solver_raw.pop(key) for key in _PROX_DEFAULTS if key in solver_raw}
-        if run["metric"] not in METRIC_STRATEGIES:
-            raise ConfigError(
-                f"solver.metric must be one of {tuple(METRIC_STRATEGIES)}")
+        for key, table in (("metric", METRIC_STRATEGIES),
+                           ("steplength", STEPLENGTH_STRATEGIES)):
+            if run[key] not in table:
+                raise ConfigError(f"solver.{key} must be one of {tuple(table)}")
         scalable = METRIC_STRATEGIES[run["metric"]].kinds
         if scalable is not None and kind not in scalable:
             raise ConfigError(f"solver.metric {run['metric']!r} needs problem.kind "
                               f"in {scalable}, got {kind!r}")
-        if run["ritz_window"] < 1:
-            raise ConfigError("solver.ritz_window must be at least 1")
         _check_keys("problem", problem, _PROBLEM_KEYS[kind], f"kind {kind!r}")
         size = problem.get("size")
         if size is not None and (len(size) != 2 or any(
@@ -299,8 +288,15 @@ def build_problem(cfg: ExperimentConfig, base_dir="."):
         return problem, None, None, x0, (1, 1)
 
     if kind == "compression":
-        truth = _load_base_image(_value(p, "image"), p.get("size"), base_dir)
+        spec = _value(p, "image")
+        truth = _load_base_image(spec, p.get("size"), base_dir)
         shape = truth.shape
+        # A constant u0 has L u0 = 0, so every mask c > 0 reconstructs it
+        # exactly, and the l1 term drives c to 0, where A(0) = -L is singular.
+        if truth.min() == truth.max():
+            raise ConfigError(f"problem.image {spec} is constant on the "
+                              f"{shape[0]}x{shape[1]} grid; compression needs "
+                              "a nonconstant image")
         problem = model(truth.ravel(), shape, **given)
         value = _value(p, "x0_value")
         x0 = _start(problem, np.full(problem.n, value), "x0_value", value)

@@ -1,8 +1,8 @@
 """Linear operators for 2-D imaging problems.
 
 All operators act on flat float64 vectors holding row-major rasters of a
-fixed (height, width) grid.  Every operator provides an exact adjoint and an
-upper bound on its squared spectral norm, exact for the convolution.
+fixed (height, width) grid.  Every operator provides an exact adjoint; the
+convolution also gives its exact squared spectral norm.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import scipy.sparse
 from scipy.fft._pocketfft import pypocketfft
 
 __all__ = [
-    "LinearOperator",
     "ConvOperator2D",
     "ForwardDifference2D",
     "Laplacian2D",
@@ -21,40 +20,7 @@ __all__ = [
 ]
 
 
-class LinearOperator:
-    """Linear map between flat vectors with forward and adjoint application."""
-
-    n_in = 0
-    n_out = 0
-
-    def apply(self, x):
-        raise NotImplementedError
-
-    def adjoint(self, y):
-        raise NotImplementedError
-
-    def norm_sq_bound(self):
-        """Upper estimate of ||A||^2 via 50 power iterations on A^T A from a
-        seeded random start.
-
-        The power method approaches the top eigenvalue from below, hence the
-        multiplicative safety factor 1.05.
-        """
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(self.n_in)
-        v /= np.linalg.norm(v)
-        est = 0.0
-        for _ in range(50):
-            w = self.adjoint(self.apply(v))
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                break
-            est = nw
-            v = w / nw
-        return 1.05 * est
-
-
-class ConvOperator2D(LinearOperator):
+class ConvOperator2D:
     """2-D convolution with a nonnegative kernel scaled to unit sum, periodic
     boundary, applied through the frequency domain on every grid.
 
@@ -123,7 +89,7 @@ class ConvOperator2D(LinearOperator):
         return self._filter(y, self._otf_conj)
 
 
-class ForwardDifference2D(LinearOperator):
+class ForwardDifference2D:
     """Per-pixel forward differences with Neumann boundary.
 
     The output is planar: the first ``h * w`` entries hold the vertical
@@ -188,7 +154,7 @@ def isotropic_tv(x, shape):
     return _tv_sum(*ForwardDifference2D(shape).apply(x).reshape(2, *shape))
 
 
-class Laplacian2D(LinearOperator):
+class Laplacian2D:
     """5-point Neumann Laplacian (interior stencil: center -4, neighbors +1).
 
     One canonical CSR matrix ``L = -D^T D``, where ``D`` differences the

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .operators import Laplacian2D, LinearOperator
+from .operators import Laplacian2D
 from .prox import BoxProx, DualTVProx, TVNonnegRegularizer
 
 __all__ = [
@@ -90,11 +90,11 @@ class DeblurProblem(Problem):
     ``g`` and a ``rho``-weighted TV plus nonnegativity regularizer handled by
     the inexact dual prox, which takes the keywords ``prox``."""
 
-    def __init__(self, H: LinearOperator, g, shape, rho, **prox):
+    def __init__(self, H, g, shape, rho, **prox):
         h, w = shape
         self.n = h * w
         self.shape = (h, w)
-        grid = tuple(getattr(H, "shape", self.shape))  # a plain LinearOperator has none
+        grid = tuple(getattr(H, "shape", self.shape))  # a blur without one fits any grid
         if grid != self.shape:
             raise ValueError(f"blur grid {grid} differs from image grid {self.shape}")
         self.H = H
@@ -132,8 +132,7 @@ class SignalDependentGaussianProblem(DeblurProblem):
 
     kind = "gaussian_sd"
 
-    def __init__(self, H: LinearOperator, g, shape, a=1.0, b=1.0, rho=0.03,
-                 **prox):
+    def __init__(self, H, g, shape, a=1.0, b=1.0, rho=0.03, **prox):
         # Before ``g``: data synthesized with a non-finite ``a`` or ``b`` is
         # non-finite too, and the message should name the parameter.
         a = _finite("a", np.asarray(a, dtype=float))
@@ -195,12 +194,13 @@ class CauchyDeblurProblem(DeblurProblem):
 
     kind = "cauchy"
 
-    def __init__(self, H: LinearOperator, g, shape, gamma_noise=0.02,
-                 lambda_reg=0.35, **prox):
+    def __init__(self, H, g, shape, gamma_noise=0.02, lambda_reg=0.35, **prox):
         if not 0 < gamma_noise < np.inf:
             raise ValueError("gamma_noise must be positive and finite")
         if not lambda_reg > 0:
             raise ValueError("lambda_reg must be positive")
+        if not np.isfinite(lambda_reg):
+            raise ValueError("lambda_reg must be finite")
         super().__init__(H, g, shape, 1.0, **prox)
         self.gamma_noise = float(gamma_noise)
         self.lambda_reg = float(lambda_reg)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ForwardDifference2D, LinearOperator, _tv_sum, isotropic_tv
+from .operators import ForwardDifference2D, _tv_sum, isotropic_tv
 
 __all__ = [
     "ProxCertificate",
@@ -136,7 +136,7 @@ def _merit_lower_bound(lin, quad, dv, dh, rho, f1_x, work):
 _NORM_A_SQ = {}
 
 
-class TVNonnegRegularizer(LinearOperator):
+class TVNonnegRegularizer:
     """``f1(x) = rho * sum_i ||gradient pair_i||`` plus nonnegativity.
 
     Encoded as ``g(Ax)`` with ``A = [gradient; identity]`` mapping R^n to
@@ -176,6 +176,26 @@ class TVNonnegRegularizer(LinearOperator):
         out = self.fd.adjoint(p[: 2 * self.n], out)
         out += p[2 * self.n :]
         return out
+
+    def norm_sq_bound(self):
+        """Upper estimate of ||A||^2 via 50 power iterations on A^T A from a
+        seeded random start.
+
+        The power method approaches the top eigenvalue from below, hence the
+        multiplicative safety factor 1.05.
+        """
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal(self.n_in)
+        v /= np.linalg.norm(v)
+        est = 0.0
+        for _ in range(50):
+            w = self.adjoint(self.apply(v))
+            nw = np.linalg.norm(w)
+            if nw == 0.0:
+                break
+            est = nw
+            v = w / nw
+        return 1.05 * est
 
     def f1(self, x):
         x = np.asarray(x, dtype=float)

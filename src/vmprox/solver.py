@@ -15,12 +15,7 @@ import numpy as np
 
 from . import diagnostics
 from .prox import InexactProxError
-from .strategies import (
-    RITZ_WINDOW,
-    DiagonalMetric,
-    make_metric_strategy,
-    make_steplength_strategy,
-)
+from .strategies import METRIC_STRATEGIES, STEPLENGTH_STRATEGIES, DiagonalMetric
 
 __all__ = [
     "SolverConfig",
@@ -253,13 +248,26 @@ def _initial_state(problem, x0):
                         grad_f0=problem.grad_f0(x0), k=0)
 
 
+def _strategy(spec, table, role):
+    """``spec`` itself, or a new instance of the class that ``table`` maps
+    the name ``spec`` to."""
+    if not isinstance(spec, str):
+        return spec
+    if spec not in table:
+        raise ValueError(f"unknown {role} strategy {spec!r}")
+    return table[spec]()
+
+
 def minimize(problem, config, x0, metric="identity", steplength="bb",
-             ritz_window=RITZ_WINDOW, retain_prox_points=False):
+             retain_prox_points=False):
     """Run the outer loop from ``x0``.
 
-    ``metric`` and ``steplength`` may be strategy names or strategy
+    ``metric`` and ``steplength`` may be strategy names, keys of
+    ``METRIC_STRATEGIES`` and ``STEPLENGTH_STRATEGIES``, or strategy
     instances; a metric strategy proposes the entries of ``D^{-1}`` and a
     steplength strategy a steplength, and :func:`solver_step` clamps both.
+    A named Ritz steplength keeps a window of ``RITZ_WINDOW`` gradients;
+    pass a :class:`~vmprox.strategies.RitzSteplengthStrategy` for another.
     Stops after ``config.max_outer_iters`` iterations or when
     the relative step norm drops to ``config.stop_tol``.  Returns a
     :class:`SolveResult` whose trace has one record per iteration performed.
@@ -268,10 +276,8 @@ def minimize(problem, config, x0, metric="identity", steplength="bb",
     The per-run state of the problem and of both strategies is cleared when
     the solve starts and when it ends, whether it returns or raises.
     """
-    if isinstance(metric, str):
-        metric = make_metric_strategy(metric)
-    if isinstance(steplength, str):
-        steplength = make_steplength_strategy(steplength, window=ritz_window)
+    metric = _strategy(metric, METRIC_STRATEGIES, "metric")
+    steplength = _strategy(steplength, STEPLENGTH_STRATEGIES, "steplength")
     for part in (problem, metric, steplength):
         part.reset()
     try:

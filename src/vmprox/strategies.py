@@ -35,8 +35,6 @@ __all__ = [
     "MajorantMetricStrategy",
     "BBSteplengthStrategy",
     "RitzSteplengthStrategy",
-    "make_metric_strategy",
-    "make_steplength_strategy",
 ]
 
 
@@ -235,14 +233,3 @@ METRIC_STRATEGIES = {
 }
 STEPLENGTH_STRATEGIES = {"bb": BBSteplengthStrategy, "ritz": RitzSteplengthStrategy}
 
-
-def make_metric_strategy(name):
-    if name not in METRIC_STRATEGIES:
-        raise ValueError(f"unknown metric strategy {name!r}")
-    return METRIC_STRATEGIES[name]()
-
-
-def make_steplength_strategy(name, window=RITZ_WINDOW):
-    if name not in STEPLENGTH_STRATEGIES:
-        raise ValueError(f"unknown steplength strategy {name!r}")
-    return RitzSteplengthStrategy(window) if name == "ritz" else BBSteplengthStrategy()

@@ -350,16 +350,6 @@ def test_flat_runs_match_grid_slices_bitwise(case):
         assert not np.signbit(adj[adj == 0.0]).any()
 
 
-def test_norm_bound_is_an_upper_bound():
-    fd = ForwardDifference2D((16, 16))
-    est = fd.norm_sq_bound()
-    # The forward-difference operator has squared norm < 8.
-    assert est <= 8.0 * 1.05 + 1e-9
-    x = RNG.standard_normal(256)
-    rayleigh = np.dot(fd.apply(x), fd.apply(x)) / np.dot(x, x)
-    assert est >= rayleigh
-
-
 @pytest.mark.parametrize("psf, shape", [
     (gaussian_psf(3, 0.8), (5, 8)),
     (np.random.default_rng(3).random((5, 5)), (16, 12)),

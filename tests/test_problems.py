@@ -6,7 +6,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from vmprox.diagnostics import fd_gradient_check
-from vmprox.operators import ConvOperator2D, LinearOperator, gaussian_psf
+from vmprox.operators import ConvOperator2D, gaussian_psf
 from vmprox.problems import (
     CauchyDeblurProblem,
     DomainError,
@@ -20,7 +20,7 @@ from vmprox.problems import (
 )
 
 
-class IdentityOperator(LinearOperator):
+class IdentityOperator:
     """The identity map, as the blur of hand-checkable problems."""
 
     def __init__(self, n):
@@ -144,6 +144,11 @@ class TestCauchy:
         H, _, g = _deconv_setup(model="cauchy")
         with pytest.raises(ValueError, match="^lambda_reg must be positive"):
             CauchyDeblurProblem(H, g, (8, 8), lambda_reg=lam)
+
+    def test_infinite_weight_rejected(self):
+        H, _, g = _deconv_setup(model="cauchy")
+        with pytest.raises(ValueError, match="^lambda_reg must be finite$"):
+            CauchyDeblurProblem(H, g, (8, 8), lambda_reg=np.inf)
 
     def test_infinite_scale_rejected(self):
         H, _, g = _deconv_setup(model="cauchy")

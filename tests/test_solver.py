@@ -29,9 +29,9 @@ from vmprox.solver import (
     minimize,
 )
 from vmprox.strategies import (
+    BBSteplengthStrategy,
     DiagonalMetric,
     IdentityMetricStrategy,
-    make_steplength_strategy,
 )
 
 
@@ -338,7 +338,7 @@ class TestMinimize:
             cfg,
             np.array([0.0]),
             metric=IdentityMetricStrategy(),
-            steplength=make_steplength_strategy("bb"),
+            steplength=BBSteplengthStrategy(),
         )
         assert res.trace
 
@@ -457,8 +457,7 @@ class TestEvaluationCounts:
         monkeypatch.setattr(problem, "_system", recorded_system)
         monkeypatch.setattr(scipy.sparse.linalg, "splu", recorded_splu)
         res = minimize(problem, replace(cfg.solver, max_outer_iters=20), x0,
-                       metric=cfg.metric, steplength=cfg.steplength,
-                       ritz_window=cfg.ritz_window)
+                       metric=cfg.metric, steplength=cfg.steplength)
         backtracks = sum(r.backtracks for r in res.trace)
         assert len(res.trace) == 20 and backtracks > 0
         assert calls["f0"] == 1 + len(res.trace) + backtracks

@@ -4,9 +4,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import vmprox.solver
-from vmprox.config import ExperimentConfig
-from vmprox.operators import ConvOperator2D, LinearOperator, gaussian_psf
+import vmprox.strategies
+from vmprox.operators import ConvOperator2D, gaussian_psf
 from vmprox.problems import (
     CauchyDeblurProblem,
     MaskCompressionProblem,
@@ -18,15 +17,14 @@ from vmprox.problems import (
 from vmprox.prox import BoxProx
 from vmprox.solver import SolverConfig, minimize
 from vmprox.strategies import (
+    RITZ_WINDOW,
+    STEPLENGTH_STRATEGIES,
     BBSteplengthStrategy,
     DiagonalMetric,
-    IdentityMetricStrategy,
     MajorantMetricStrategy,
     RitzSteplengthStrategy,
     SplitGradientMetricStrategy,
     bb_steplength,
-    make_metric_strategy,
-    make_steplength_strategy,
     reduced_gradient,
     ritz_steplengths,
 )
@@ -98,7 +96,7 @@ def _clamped_metric(inv_diag, mu):
     return metrics[0]
 
 
-class _IdentityBlur(LinearOperator):
+class _IdentityBlur:
     """``H = I`` on ``n`` pixels, so hand values need no convolution."""
 
     def __init__(self, n):
@@ -493,10 +491,10 @@ class TestReusedStrategies:
 
     @pytest.mark.parametrize("name", ["bb", "ritz"])
     def test_steplength_reused_gives_fresh_bits(self, name):
-        strategy = make_steplength_strategy(name)
+        strategy = STEPLENGTH_STRATEGIES[name]()
         first = _cauchy_run((16, 16), "sg", strategy)
         again = _cauchy_run((16, 16), "sg", strategy)
-        fresh = _cauchy_run((16, 16), "sg", make_steplength_strategy(name))
+        fresh = _cauchy_run((16, 16), "sg", STEPLENGTH_STRATEGIES[name]())
         assert again.trace[0].alpha == 1.0
         _assert_same_run(first, fresh)
         _assert_same_run(again, fresh)
@@ -515,36 +513,42 @@ class TestReusedStrategies:
         assert ritz._bb._prev_x is None and majorant._cached is None
 
 
-def test_factories():
-    assert isinstance(make_metric_strategy("identity"), IdentityMetricStrategy)
-    assert isinstance(make_metric_strategy("sg"), SplitGradientMetricStrategy)
-    assert isinstance(make_metric_strategy("majorant"), MajorantMetricStrategy)
-    with pytest.raises(ValueError):
-        make_metric_strategy("mm")
-    assert isinstance(make_steplength_strategy("bb"), BBSteplengthStrategy)
-    ritz = make_steplength_strategy("ritz", window=5)
-    assert isinstance(ritz, RitzSteplengthStrategy) and ritz.history.maxlen == 5
-    with pytest.raises(ValueError):
-        make_steplength_strategy("fixed")
+def test_unknown_strategy_names_are_rejected():
+    problem, cfg = _QuadProblem(2), SolverConfig(max_outer_iters=1)
+    with pytest.raises(ValueError, match="^unknown metric strategy 'mm'$"):
+        minimize(problem, cfg, np.ones(2), metric="mm")
+    with pytest.raises(ValueError, match="^unknown steplength strategy 'fixed'$"):
+        minimize(problem, cfg, np.ones(2), steplength="fixed")
 
 
 def test_every_default_ritz_window_is_the_same(monkeypatch):
     built = []
-    make = vmprox.solver.make_steplength_strategy
 
-    def record(*args, **kwargs):
-        built.append(make(*args, **kwargs))
-        return built[-1]
+    class Recorded(RitzSteplengthStrategy):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
 
-    monkeypatch.setattr(vmprox.solver, "make_steplength_strategy", record)
+    monkeypatch.setitem(STEPLENGTH_STRATEGIES, "ritz", Recorded)
     minimize(_QuadProblem(2), SolverConfig(max_outer_iters=1), np.ones(2),
              steplength="ritz")
-    cfg = ExperimentConfig.from_dict({"problem": {"kind": "toy1d"},
-                                      "solver": {"steplength": "ritz"}})
-    windows = [RitzSteplengthStrategy().history.maxlen,
-               make_steplength_strategy("ritz").history.maxlen,
-               built[0].history.maxlen, cfg.ritz_window]
-    assert windows == [windows[0]] * 4
+    windows = [RitzSteplengthStrategy().history.maxlen, built[0].history.maxlen]
+    assert windows == [RITZ_WINDOW] * 2 == [3] * 2
+
+
+def test_ritz_instance_sets_the_window(monkeypatch):
+    windows = []
+    ritz = vmprox.strategies.ritz_steplengths
+
+    def recorded(history, *args):
+        windows.append(len(history))
+        return ritz(history, *args)
+
+    monkeypatch.setattr(vmprox.strategies, "ritz_steplengths", recorded)
+    cfg = SolverConfig(max_outer_iters=12, stop_tol=0.0)
+    minimize(_QuadProblem(4, c=np.array([1.0, 2.0, 4.0, 8.0])), cfg,
+             np.ones(4), steplength=RitzSteplengthStrategy(2))
+    assert windows and set(windows) == {2}
 
 
 def test_ritz_consumed_smallest_first():

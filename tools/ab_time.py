@@ -75,8 +75,7 @@ class Side:
         gc.collect()
         start = time.perf_counter()
         result = self.solver.minimize(problem, solver, x0, metric=cfg.metric,
-                                      steplength=cfg.steplength,
-                                      ritz_window=cfg.ritz_window)
+                                      steplength=cfg.steplength)
         elapsed = time.perf_counter() - start
         if timed:
             self.times.append(elapsed)
