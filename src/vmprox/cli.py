@@ -100,7 +100,7 @@ def _solve_summary(cfg, problem, result, x_true, observed, wall_time, report):
         "psnr_degraded": None,
         "psnr_final": None,
         "mse_final": None,
-        "audit": report.to_dict() if report is not None else None,
+        "audit": report.to_dict(),
     }
     if problem.kind == "compression" and x_true is not None:
         # quality is judged on the diffusion reconstruction, not the mask
@@ -160,8 +160,6 @@ def cmd_solve(args):
             cfg.solver = dataclasses.replace(cfg.solver, max_outer_iters=args.max_iters)
         except ValueError as exc:
             return _input_failure(ConfigError(f"--max-iters {args.max_iters}: {exc}"))
-    if args.audit:
-        cfg.audit = True
     if args.trace is not None:
         cfg.output["trace"] = args.trace
 
@@ -187,10 +185,7 @@ def cmd_solve(args):
         return EXIT_SOLVER
     wall_time = time.perf_counter() - t0
 
-    report = None
-    if cfg.audit:
-        report = diagnostics.audit_trace(result.trace, cfg.solver)
-
+    report = diagnostics.audit_trace(result.trace, cfg.solver)
     summary = _solve_summary(cfg, problem, result, x_true, observed, wall_time, report)
 
     try:
@@ -208,7 +203,7 @@ def cmd_solve(args):
         return EXIT_IO
 
     print(json.dumps(summary, sort_keys=True, default=str))
-    if cfg.audit and not report.ok:
+    if not report.ok:
         print(
             f"audit failure: {report.total_violations} violation(s)",
             file=sys.stderr,
@@ -370,7 +365,6 @@ def build_parser():
     p_solve = sub.add_parser("solve", help="run an experiment from a config file")
     p_solve.add_argument("config")
     p_solve.add_argument("--seed", type=int, default=None)
-    p_solve.add_argument("--audit", action="store_true")
     p_solve.add_argument("--max-iters", type=int, default=None)
     p_solve.add_argument("--trace", default=None)
     p_solve.set_defaults(func=cmd_solve)

@@ -65,7 +65,7 @@ _DATA_KEYS = {
 
 _OUTPUT_KEYS = dict.fromkeys(("reconstruction", "trace", "summary", "observed"), str)
 
-_TOP_KEYS = ("problem", "solver", "seed", "audit", "output")
+_TOP_KEYS = ("problem", "solver", "seed", "output")
 
 
 def _key_tables():
@@ -120,7 +120,6 @@ class ExperimentConfig:
     metric: str
     steplength: str
     seed: int
-    audit: bool
     output: dict = field(default_factory=dict)
     prox: dict = field(default_factory=dict)  # solver keys given for the model
 
@@ -159,17 +158,14 @@ class ExperimentConfig:
         seed = raw.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError("seed must be a non-negative integer")
-        audit = raw.get("audit", False)
-        if not isinstance(audit, bool):
-            raise ConfigError("audit must be a boolean")
         output = _section(raw, "output")
         _check_keys("output", output, _OUTPUT_KEYS, "vmprox")
         try:
             solver = SolverConfig(**solver_raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid solver settings: {exc}") from exc
-        return cls(problem=problem, solver=solver, seed=seed, audit=audit,
-                   output=output, prox=prox, **run)
+        return cls(problem=problem, solver=solver, seed=seed, output=output,
+                   prox=prox, **run)
 
 
 def load_experiment(path):

@@ -102,22 +102,21 @@ class DeblurProblem(Problem):
         if self.g.size != self.n:
             raise ValueError("observed image size mismatch")
         self.prox = DualTVProx(TVNonnegRegularizer(shape, rho), **prox)
-        self._blurred = []  # (bytes of x, H x) pairs, most recent first
+        self._blurred = None  # (bytes of x, H x) of the most recent point
 
     def reset(self):
         super().reset()
-        self._blurred = []
+        self._blurred = None
 
     def blur(self, x):
-        """``H x``, kept for the two points used most recently so that ``f0``,
-        ``grad_f0`` and the split-gradient metric of a point share one
-        convolution.  The array is shared: callers must not write to it."""
+        """``H x``, kept for the most recent point so that ``f0``, ``grad_f0``
+        and the split-gradient metric of a point share one convolution.  The
+        array is shared: callers must not write to it."""
         x = np.asarray(x, dtype=float).ravel()
         key = x.tobytes()  # match bits: 0.0 and -0.0 are distinct points
-        entry = next((e for e in self._blurred if e[0] == key), None)
-        entry = entry or (key, self.H.apply(x))
-        self._blurred = [entry] + [e for e in self._blurred if e is not entry][:1]
-        return entry[1]
+        if self._blurred is None or self._blurred[0] != key:
+            self._blurred = (key, self.H.apply(x))
+        return self._blurred[1]
 
 
 class SignalDependentGaussianProblem(DeblurProblem):

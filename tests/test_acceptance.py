@@ -58,7 +58,6 @@ solver:
   steplength: ritz
   warm_start: true
 seed: 2024
-audit: true
 output:
   trace: {trace}
   summary: {summary}

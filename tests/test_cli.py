@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from vmprox import cli, pgm
+from vmprox import cli, diagnostics, pgm
 from vmprox.config import build_problem, load_experiment
 from vmprox.operators import ConvOperator2D, gaussian_psf
 from vmprox.problems import (
@@ -29,7 +26,6 @@ solver:
   max_outer_iters: 50
   stop_tol: 0.0
 seed: 0
-audit: true
 output:
   trace: {trace}
   summary: {summary}
@@ -52,7 +48,6 @@ solver:
   metric: sg
   steplength: ritz
 seed: 5
-audit: true
 output:
   trace: {trace}
   reconstruction: {recon}
@@ -114,6 +109,44 @@ class TestSolve:
         assert summary["first_prox_point"] == 2.0
         assert abs(summary["final_x"] - 10.0) <= 1e-6
         assert summary["audit"]["ok"] is True
+
+    def _small_cauchy(self, tmp_path):
+        return _write(tmp_path, "cauchy.yaml", SMALL_CAUCHY.format(
+            trace=tmp_path / "t.csv", recon=tmp_path / "r.pgm",
+            summary=tmp_path / "s.json"))
+
+    def test_every_solve_reports_its_audit(self, tmp_path, capsys):
+        assert cli.main(["solve", str(self._small_cauchy(tmp_path))]) == 0
+        printed = json.loads(capsys.readouterr().out.splitlines()[-1])
+        written = json.loads((tmp_path / "s.json").read_text())
+        for summary in (printed, written):
+            assert summary["audit"]["total_violations"] == 0
+            assert summary["audit"]["n_iterations"] == summary["iterations"] == 40
+
+    def test_audit_violation_exits_after_writing_outputs(self, tmp_path, capsys,
+                                                          monkeypatch):
+        record_checks = diagnostics._record_checks
+
+        def one_violation(rec, config):
+            checks = record_checks(rec, config)
+            return (rec.k != 7,) + checks[1:]
+
+        monkeypatch.setattr(diagnostics, "_record_checks", one_violation)
+        assert cli.main(["solve", str(self._small_cauchy(tmp_path))]) == cli.EXIT_CHECK
+        assert "audit failure: 1 violation(s)" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "s.json").read_text())
+        assert summary["audit"]["violations"] == [[7, diagnostics.AUDIT_NAMES[0]]]
+        assert len(cli.read_trace(tmp_path / "t.csv")) == 40
+        assert pgm.read_image(tmp_path / "r.pgm").shape == (16, 16)
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_audit_key_is_config_error(self, tmp_path, capsys, value):
+        cfg = _write(tmp_path, "toy.yaml", TOY_CONFIG.format(
+            trace=tmp_path / "t.csv", summary=tmp_path / "s.json")
+            + f"audit: {value}\n")
+        assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
+        assert "unknown top-level keys: audit" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
 
     def test_trace_rows_match_iterations(self, tmp_path):
         cfg = _write(

@@ -473,7 +473,7 @@ class TestEvaluationCounts:
 
 
 class TestBlurCache:
-    """``DeblurProblem.blur`` matches points by their bits and holds the two
+    """``DeblurProblem.blur`` matches points by their bits and holds the one
     used most recently."""
 
     @staticmethod
@@ -494,9 +494,10 @@ class TestBlurCache:
     def test_signed_zeros_are_distinct_points(self, monkeypatch):
         problem, calls = self._counted(monkeypatch)
         problem.blur(np.zeros(64))
+        problem.blur(np.zeros(64))
+        assert len(calls) == 1
         problem.blur(np.full(64, -0.0))
         assert len(calls) == 2
-        problem.blur(np.zeros(64))
         problem.blur(np.full(64, -0.0))
         assert len(calls) == 2
 
@@ -508,21 +509,18 @@ class TestBlurCache:
         assert problem.blur(x.reshape(8, 8)) is first
         assert len(calls) == 1
 
-    def test_holds_the_two_most_recent_points(self, monkeypatch):
+    def test_holds_the_most_recent_point(self, monkeypatch):
         problem, calls = self._counted(monkeypatch)
-        a, b, c = (np.full(64, v) for v in (0.1, 0.2, 0.3))
-        for x in (a, b, c):
-            problem.blur(x)
-        assert len(problem._blurred) == 2 and len(calls) == 3
+        a, b = np.full(64, 0.1), np.full(64, 0.2)
+        problem.blur(a)
+        problem.blur(b)
+        assert len(calls) == 2
         problem.blur(b)  # held: no convolution
+        assert len(calls) == 2
+        problem.blur(a)  # evicted by b: convolved again, evicts b
         assert len(calls) == 3
-        problem.blur(a)  # evicted by c: convolved again, evicts c
-        assert len(calls) == 4
         problem.blur(b)
         assert len(calls) == 4
-        problem.blur(c)
-        assert len(calls) == 5
-        assert len(problem._blurred) == 2
 
 
 class _UphillFromStep3(_QuadProblem):
@@ -564,7 +562,7 @@ class TestFailuresNameTheOuterIteration:
             run(40)
         # the failed solve still clears the warm start and the blur cache
         assert problem.prox._v_prev is None
-        assert problem._blurred == []
+        assert problem._blurred is None
         k = ei.value.k
         assert k > 0
         assert str(ei.value).startswith(

@@ -15,9 +15,10 @@ before and after; ``--against`` makes that check one command.
     python tools/preset_digest.py --against ../other # only the lines that differ
 
 With ``--against`` the tool also imports the other checkout's ``vmprox`` into
-this process, as ``tools/ab_time.py`` does, computes its lines the same way,
-and prints each line that differs twice: ``-`` with the other checkout's
-value, ``+`` with this one's.  It exits 1 when any line differs.
+this process, as ``tools/ab_time.py`` does, computes its lines the same way
+from that checkout's own presets, and prints each line that differs twice:
+``-`` with the other checkout's value, ``+`` with this one's.  It exits 1
+when any line differs.
 """
 
 from __future__ import annotations
@@ -108,11 +109,12 @@ def batch_lines(vp, cli, workdir):
     return lines
 
 
-def digest_lines(vp, cli):
-    """The tool's output lines for the package ``vp`` and its ``cli`` module."""
+def digest_lines(vp, cli, checkout):
+    """The tool's output lines for the package ``vp`` and its ``cli`` module,
+    solving the presets of ``checkout``."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for preset in sorted((ROOT / "presets").glob("*.yaml")):
+        for preset in sorted((Path(checkout) / "presets").glob("*.yaml")):
             for key, value in preset_lines(cli, preset, Path(tmp)):
                 lines.append(f"{preset.stem:24s} {key:15s} {value}")
         for name, key, value in batch_lines(vp, cli, Path(tmp)):
@@ -132,12 +134,13 @@ def main(argv=None):
 
     if not Path(cli.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"error: imported vmprox from {cli.__file__}, not {src}")
-    lines = digest_lines(vp, cli)
+    lines = digest_lines(vp, cli, ROOT)
     if args.against is None:
         print("\n".join(lines))
         return 0
     other_vp = load_package("vmprox_against", args.against)
-    other = digest_lines(other_vp, importlib.import_module("vmprox_against.cli"))
+    other = digest_lines(other_vp, importlib.import_module("vmprox_against.cli"),
+                         args.against)
     differ = [(theirs, ours) for theirs, ours
               in zip_longest(other, lines, fillvalue="(no line)") if theirs != ours]
     for theirs, ours in differ:
