@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, pgm
-from .config import ConfigError, build_problem, deblur_data, load_experiment, resolve_path
+from .config import (X0_FLOOR, ConfigError, build_problem, deblur_data, load_experiment,
+                     resolve_path)
 from .operators import ConvOperator2D, ForwardDifference2D, Laplacian2D, gaussian_psf
 from .problems import (
     DEBLUR_KINDS,
@@ -329,7 +330,7 @@ def _check_invariants():
     observed = np.clip(degrade_synthetic(truth, H, "cauchy", seed=3), 0.0, 1.0)
     problem = CauchyDeblurProblem(H, observed, shape)
     cfg = SolverConfig(max_outer_iters=60, stop_tol=0.0)
-    result = minimize(problem, cfg, np.maximum(observed, 1e-3))
+    result = minimize(problem, cfg, np.maximum(observed, X0_FLOOR))
     report = diagnostics.audit_trace(result.trace, cfg)
     return [_entry("descent_audits", report.total_violations, 0)]
 

@@ -27,7 +27,6 @@ from .problems import (
     degrade_synthetic,
     smooth_image,
 )
-from .prox import DualTVProx
 from .solver import SolverConfig, minimize
 from .strategies import METRIC_STRATEGIES, STEPLENGTH_STRATEGIES
 
@@ -39,11 +38,9 @@ _MODELS = {model.kind: model for model in (SignalDependentGaussianProblem,
 PROBLEM_KINDS = tuple(_MODELS)
 
 
-# Solver-section keys beyond the SolverConfig fields: ``minimize``'s strategy
-# choice, and for the deblurring kinds the keywords of the dual prox they build.
+# Solver-section keys beyond the SolverConfig fields: ``minimize``'s strategy choice.
 _RUN_DEFAULTS = {key: value for key, value in _keywords(minimize).items()
                  if key in ("metric", "steplength")}
-_PROX_DEFAULTS = _keywords(DualTVProx)
 _NOISE_KEYS = frozenset(_keywords(degrade_synthetic))
 
 _IMAGE = (*DEBLUR_KINDS, "compression")
@@ -58,32 +55,27 @@ _DATA_KEYS = {
     "psf_size": (int, dict.fromkeys(DEBLUR_KINDS, 9)),
     "psf_sigma": (float, dict.fromkeys(DEBLUR_KINDS, 1.0)),
     "observed": (str, dict.fromkeys(DEBLUR_KINDS)),
-    "clip_observed": (bool, dict.fromkeys(DEBLUR_KINDS, False)),
-    "x0_floor": (float, dict.fromkeys(DEBLUR_KINDS, 0.0)),
-    "x0_value": (float, {"compression": 1.0, "toy1d": 0.0}),
 }
+
+# Each deblurring run starts at its observation, clipped into [0, 1] (the
+# data are quantized intensities, and unit affine variance swamps a [0, 1]
+# image), with every pixel raised to at least this floor: the split-gradient
+# metric scales each pixel's step by its value, so a pixel at 0 would freeze.
+X0_FLOOR = 1e-3
 
 _OUTPUT_KEYS = dict.fromkeys(("reconstruction", "trace", "summary", "observed"), str)
 
 _TOP_KEYS = ("problem", "solver", "seed", "output")
 
 
-def _key_tables():
-    """Key -> type of each key read, per kind in the problem and the solver
-    section."""
-    run = {f.name: f.default for f in fields(SolverConfig)} | _RUN_DEFAULTS
-    problem_keys, solver_keys = {}, {}
-    for kind, model in _MODELS.items():
-        problem_keys[kind] = {key: want for key, (want, kinds) in _DATA_KEYS.items()
-                              if kind in kinds}
-        problem_keys[kind].update((key, type(value))
-                                  for key, value in _keywords(model).items())
-        solver = run | (_PROX_DEFAULTS if kind in DEBLUR_KINDS else {})
-        solver_keys[kind] = {key: type(value) for key, value in solver.items()}
-    return problem_keys, solver_keys
-
-
-_PROBLEM_KEYS, _SOLVER_KEYS = _key_tables()
+# Key -> type of each key read: per kind in the problem section, and the same
+# for every kind in the solver section.
+_PROBLEM_KEYS = {
+    kind: {key: want for key, (want, kinds) in _DATA_KEYS.items() if kind in kinds}
+    | {key: type(value) for key, value in _keywords(model).items()}
+    for kind, model in _MODELS.items()}
+_SOLVER_KEYS = {key: type(value) for key, value in (
+    {f.name: f.default for f in fields(SolverConfig)} | _RUN_DEFAULTS).items()}
 
 
 class ConfigError(ValueError):
@@ -121,7 +113,6 @@ class ExperimentConfig:
     steplength: str
     seed: int
     output: dict = field(default_factory=dict)
-    prox: dict = field(default_factory=dict)  # solver keys given for the model
 
     @classmethod
     def from_dict(cls, raw):
@@ -138,10 +129,9 @@ class ExperimentConfig:
             raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}")
 
         solver_raw = _section(raw, "solver")
-        _check_keys("solver", solver_raw, _SOLVER_KEYS[kind], f"kind {kind!r}")
+        _check_keys("solver", solver_raw, _SOLVER_KEYS, f"kind {kind!r}")
         run = {key: solver_raw.pop(key, value)
                for key, value in _RUN_DEFAULTS.items()}
-        prox = {key: solver_raw.pop(key) for key in _PROX_DEFAULTS if key in solver_raw}
         for key, table in (("metric", METRIC_STRATEGIES),
                            ("steplength", STEPLENGTH_STRATEGIES)):
             if run[key] not in table:
@@ -165,7 +155,7 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid solver settings: {exc}") from exc
         return cls(problem=problem, solver=solver, seed=seed, output=output,
-                   prox=prox, **run)
+                   **run)
 
 
 def load_experiment(path):
@@ -224,8 +214,8 @@ def deblur_data(cfg: ExperimentConfig, base_dir="."):
     """Ground truth, blur operator and observed data of a deblurring config.
 
     The observation is read from ``problem.observed`` when the config names
-    one and is synthesized from the truth with seed ``cfg.seed`` otherwise;
-    ``clip_observed`` clips it into [0, 1].  A read observation sets the
+    one and is synthesized from the truth with seed ``cfg.seed`` otherwise,
+    then clipped into [0, 1].  A read observation sets the
     grid; without ``problem.image`` there is no ground truth, and a given
     ``size`` or image must match that grid.  Returns ``(truth, H, observed)``
     with a 2-D ``truth``, None without ground truth, and a flat ``observed``.
@@ -249,39 +239,25 @@ def deblur_data(cfg: ExperimentConfig, base_dir="."):
     if observed is None:
         observed = degrade_synthetic(truth.ravel(), H, p["kind"], cfg.seed, **{
             key: value for key, value in p.items() if key in _NOISE_KEYS})
-    if _value(p, "clip_observed"):
-        observed = np.clip(observed, 0.0, 1.0)
-    return truth, H, observed.ravel()
-
-
-def _start(problem, x0, key, value):
-    """``x0``, or a :class:`ConfigError` naming ``key`` when it lies outside
-    the problem's domain."""
-    if not (np.all(np.isfinite(x0)) and problem.in_domain(x0)):
-        raise ConfigError(f"problem.{key} {value} puts the start point outside "
-                          f"the domain of kind {problem.kind!r}")
-    return x0
+    return truth, H, np.clip(observed, 0.0, 1.0).ravel()
 
 
 def build_problem(cfg: ExperimentConfig, base_dir="."):
     """Construct the problem, ground truth, observed data and start point.
 
     Returns ``(problem, x_true, observed, x0, shape)``; ``x_true`` is None
-    when only observed data was supplied.  A start point outside the
-    problem's domain raises :class:`ConfigError`.
+    when only observed data was supplied.  A deblurring run starts at the
+    observation floored at :data:`X0_FLOOR`, compression at the all-ones mask
+    (a ``box_upper`` below 1 raises :class:`ConfigError`) and toy1d at 0.
     """
     p = cfg.problem
     kind = p["kind"]
     model = _MODELS[kind]
-    # The constructor keywords given: the problem keys beyond config's own
-    # and the prox keys.  Omitted ones take the constructor's defaults.
+    # The constructor keywords given: the problem keys beyond config's own.
+    # Omitted ones take the constructor's defaults.
     given = {key: value for key, value in p.items() if key not in _DATA_KEYS}
-    given.update(cfg.prox)
     if kind == "toy1d":
-        problem = model(**given)
-        value = _value(p, "x0_value")
-        x0 = _start(problem, np.array([value]), "x0_value", value)
-        return problem, None, None, x0, (1, 1)
+        return model(**given), None, None, np.zeros(1), (1, 1)
 
     if kind == "compression":
         spec = _value(p, "image")
@@ -294,13 +270,14 @@ def build_problem(cfg: ExperimentConfig, base_dir="."):
                               f"{shape[0]}x{shape[1]} grid; compression needs "
                               "a nonconstant image")
         problem = model(truth.ravel(), shape, **given)
-        value = _value(p, "x0_value")
-        x0 = _start(problem, np.full(problem.n, value), "x0_value", value)
+        x0 = np.ones(problem.n)  # the mask that keeps every pixel
+        if not problem.in_domain(x0):
+            raise ConfigError(f"problem.box_upper {problem.prox.upper} is below 1, "
+                              "the value of the start mask")
         return problem, truth.ravel(), None, x0, shape
 
     truth, H, observed = deblur_data(cfg, base_dir)
     problem = model(H, observed, H.shape, **given)
-    value = _value(p, "x0_floor")
-    x0 = _start(problem, np.maximum(observed, value), "x0_floor", value)
+    x0 = np.maximum(observed, X0_FLOOR)
     x_true = None if truth is None else truth.ravel()
     return problem, x_true, observed, x0, H.shape

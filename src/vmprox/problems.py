@@ -88,9 +88,10 @@ def _finite(name, values):
 class DeblurProblem(Problem):
     """Shared set-up of the deblurring models: blur ``H``, observed image
     ``g`` and a ``rho``-weighted TV plus nonnegativity regularizer handled by
-    the inexact dual prox, which takes the keywords ``prox``."""
+    the inexact dual prox ``self.prox``, whose ``inner_limit`` and
+    ``warm_start`` a caller may set."""
 
-    def __init__(self, H, g, shape, rho, **prox):
+    def __init__(self, H, g, shape, rho):
         h, w = shape
         self.n = h * w
         self.shape = (h, w)
@@ -101,7 +102,7 @@ class DeblurProblem(Problem):
         self.g = _finite("g", np.asarray(g, dtype=float).ravel())
         if self.g.size != self.n:
             raise ValueError("observed image size mismatch")
-        self.prox = DualTVProx(TVNonnegRegularizer(shape, rho), **prox)
+        self.prox = DualTVProx(TVNonnegRegularizer(shape, rho))
         self._blurred = None  # (bytes of x, H x) of the most recent point
 
     def reset(self):
@@ -125,13 +126,12 @@ class SignalDependentGaussianProblem(DeblurProblem):
 
     The misfit is ``0.5 * sum_i ((Hx)_i - g_i)^2 / (a_i (Hx)_i + b_i)
     + log(a_i (Hx)_i + b_i)`` (nonconvex, smooth wherever the affine variance
-    is positive); the regularizer is ``rho * TV`` plus nonnegativity.  The
-    keywords ``prox`` (``inner_limit``, ``warm_start``) go to :class:`DualTVProx`.
+    is positive); the regularizer is ``rho * TV`` plus nonnegativity.
     """
 
     kind = "gaussian_sd"
 
-    def __init__(self, H, g, shape, a=1.0, b=1.0, rho=0.03, **prox):
+    def __init__(self, H, g, shape, a=1.0, b=1.0, rho=0.03):
         # Before ``g``: data synthesized with a non-finite ``a`` or ``b`` is
         # non-finite too, and the message should name the parameter.
         a = _finite("a", np.asarray(a, dtype=float))
@@ -140,7 +140,7 @@ class SignalDependentGaussianProblem(DeblurProblem):
             raise ValueError("a must be nonnegative")
         if np.any(b <= 0):
             raise ValueError("b must be positive")
-        super().__init__(H, g, shape, rho, **prox)
+        super().__init__(H, g, shape, rho)
         self.a = np.full(self.n, a, dtype=float)
         self.b = np.full(self.n, b, dtype=float)
 
@@ -187,20 +187,19 @@ class CauchyDeblurProblem(DeblurProblem):
 
     The misfit is ``(lambda/2) * sum_i log(gamma^2 + ((Hx)_i - g_i)^2)``
     (smooth everywhere, nonconvex); the regularizer is unit-weight TV plus
-    nonnegativity.  The keywords ``prox`` (``inner_limit``, ``warm_start``)
-    go to :class:`DualTVProx`.
+    nonnegativity.
     """
 
     kind = "cauchy"
 
-    def __init__(self, H, g, shape, gamma_noise=0.02, lambda_reg=0.35, **prox):
+    def __init__(self, H, g, shape, gamma_noise=0.02, lambda_reg=0.35):
         if not 0 < gamma_noise < np.inf:
             raise ValueError("gamma_noise must be positive and finite")
         if not lambda_reg > 0:
             raise ValueError("lambda_reg must be positive")
         if not np.isfinite(lambda_reg):
             raise ValueError("lambda_reg must be finite")
-        super().__init__(H, g, shape, 1.0, **prox)
+        super().__init__(H, g, shape, 1.0)
         self.gamma_noise = float(gamma_noise)
         self.lambda_reg = float(lambda_reg)
 

@@ -49,14 +49,11 @@ problem:
   psf_sigma: 1.0
   gamma_noise: 0.02
   lambda_reg: 0.35
-  clip_observed: true
-  x0_floor: 0.001
 solver:
   max_outer_iters: 500
   stop_tol: 1.0e-8
   metric: sg
   steplength: ritz
-  warm_start: true
 seed: 2024
 output:
   trace: {trace}

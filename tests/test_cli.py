@@ -40,8 +40,6 @@ problem:
   psf_sigma: 1.0
   gamma_noise: 0.02
   lambda_reg: 0.35
-  clip_observed: true
-  x0_floor: 0.001
 solver:
   max_outer_iters: 40
   stop_tol: 0.0
@@ -62,14 +60,14 @@ def _write(tmp_path, name, text):
 
 
 # The problem keys each kind reads besides ``kind``, and a valid value for
-# every problem key.
-_DEBLUR_READS = {"image", "size", "psf_size", "psf_sigma", "observed",
-                 "clip_observed", "x0_floor"}
+# every problem key, and for the start-point keys that no kind reads: the
+# observation is always clipped and floored, and the other starts are fixed.
+_DEBLUR_READS = {"image", "size", "psf_size", "psf_sigma", "observed"}
 _KIND_READS = {
     "gaussian_sd": _DEBLUR_READS | {"a", "b", "rho"},
     "cauchy": _DEBLUR_READS | {"gamma_noise", "lambda_reg"},
-    "compression": {"image", "size", "lambda_reg", "box_upper", "x0_value"},
-    "toy1d": {"x0_value"},
+    "compression": {"image", "size", "lambda_reg", "box_upper"},
+    "toy1d": set(),
 }
 _KEY_VALUES = {
     "image": "synthetic:smooth", "size": [8, 8], "psf_size": 3,
@@ -79,13 +77,18 @@ _KEY_VALUES = {
 }
 _UNREAD = [(kind, key) for kind, reads in _KIND_READS.items()
            for key in sorted(set(_KEY_VALUES) - reads)]
-# Solver keys that a run never reads: the dual prox's keys on kinds without a
-# dual prox, and ``ritz_window`` with any steplength (the window is fixed).
+# Solver keys that a run never reads: the dual prox's keywords on every kind
+# (a library caller sets them on ``problem.prox``), and ``ritz_window`` with
+# any steplength (the window is fixed).
 _SOLVER_UNREAD = [
     ("compression", "inner_limit: 7", "inner_limit"),
     ("compression", "warm_start: false", "warm_start"),
     ("toy1d", "inner_limit: 7", "inner_limit"),
     ("toy1d", "warm_start: false", "warm_start"),
+    ("cauchy", "inner_limit: 7", "inner_limit"),
+    ("cauchy", "warm_start: false", "warm_start"),
+    ("gaussian_sd", "inner_limit: 5000", "inner_limit"),
+    ("gaussian_sd", "warm_start: true", "warm_start"),
     ("cauchy", "steplength: bb\n  ritz_window: 3", "ritz_window"),
     ("compression", "ritz_window: 3", "ritz_window"),
     ("gaussian_sd", "steplength: ritz\n  ritz_window: 3", "ritz_window"),
@@ -252,12 +255,22 @@ class TestSolve:
     def test_solver_keys_the_run_reads_reach_it(self, tmp_path):
         cfg = _write(tmp_path, "ok.yaml", yaml.safe_dump({
             "problem": {"kind": "cauchy", "size": [16, 16], "lambda_reg": 0.5},
-            "solver": {"inner_limit": 7, "warm_start": False,
-                       "steplength": "ritz"}}))
+            "solver": {"tau": 3.0, "steplength": "ritz"}}))
         exp = load_experiment(cfg)
         problem = build_problem(exp, tmp_path)[0]
-        assert (problem.prox.inner_limit, problem.prox.warm_start) == (7, False)
-        assert (problem.lambda_reg, exp.steplength) == (0.5, "ritz")
+        assert (problem.lambda_reg, exp.steplength, exp.solver.tau) == (0.5, "ritz", 3.0)
+        # the dual prox runs at the keyword defaults of DualTVProx
+        assert (problem.prox.inner_limit, problem.prox.warm_start) == (5000, True)
+
+    def test_deblurring_start_is_the_floored_clipped_observation(self, tmp_path):
+        cfg = _write(tmp_path, "c.yaml", yaml.safe_dump({
+            "problem": {"kind": "cauchy", "size": [16, 16]}, "seed": 5}))
+        _, _, observed, x0, shape = build_problem(load_experiment(cfg), tmp_path)
+        H = ConvOperator2D(gaussian_psf(9, 1.0), shape)
+        raw = degrade_synthetic(cartoon_image(shape), H, "cauchy", seed=5)
+        assert raw.min() < 0.0 and raw.max() > 1.0
+        assert observed.tobytes() == np.clip(raw, 0, 1).tobytes()
+        assert x0.tobytes() == np.maximum(np.clip(raw, 0, 1), 1e-3).tobytes()
 
     @pytest.mark.parametrize("problem, message", [
         ("kind: cauchy\n  lambda_reg: -1.0", "lambda_reg must be positive"),
@@ -361,13 +374,19 @@ class TestSolve:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
 
-    def test_solver_failure_names_outer_iteration(self, tmp_path, capsys):
-        text = SMALL_CAUCHY.replace("  metric: sg\n", "  metric: sg\n  inner_limit: 1\n")
-        cfg = _write(tmp_path, "c.yaml", text.format(
-            trace=tmp_path / "t.csv", recon=tmp_path / "r.pgm",
-            summary=tmp_path / "s.json"))
+    def test_solver_failure_names_outer_iteration(self, tmp_path, capsys,
+                                                  monkeypatch):
+        built = cli.build_problem
+
+        def one_dual_iteration(*args):
+            problem, *rest = built(*args)
+            problem.prox.inner_limit = 1
+            return (problem, *rest)
+
+        monkeypatch.setattr(cli, "build_problem", one_dual_iteration)
+        cfg = self._small_cauchy(tmp_path)
         exp = load_experiment(cfg)
-        problem, _, _, x0, _ = build_problem(exp, tmp_path)
+        problem, _, _, x0, _ = cli.build_problem(exp, tmp_path)
         with pytest.raises(InexactProxError) as ei:
             minimize(problem, exp.solver, x0, metric=exp.metric,
                      steplength=exp.steplength)
@@ -376,21 +395,22 @@ class TestSolve:
         assert (f"solver failure: outer iteration {ei.value.k}: "
                 "no certificate within 1 dual iterations") in err
 
+    # The toy and deblurring starts always lie in their domains; only a box
+    # below the all-ones start mask can exclude the start.
     @pytest.mark.parametrize("problem, named", [
-        ("kind: toy1d\n  x0_value: 11.0", "problem.x0_value 11.0"),
-        ("kind: compression\n  size: [8, 8]\n  x0_value: 2.0",
-         "problem.x0_value 2.0"),
-        ("kind: cauchy\n  size: [16, 16]\n  x0_floor: -1.0",
-         "problem.x0_floor -1.0"),
-    ], ids=["toy1d", "compression", "cauchy"])
-    def test_infeasible_start_is_config_error(self, tmp_path, capsys, problem,
-                                              named):
+        ("kind: compression\n  size: [8, 8]\n  box_upper: 0.5",
+         "problem.box_upper 0.5"),
+    ], ids=["compression"])
+    def test_infeasible_start_is_config_error(self, tmp_path, capsys,
+                                              monkeypatch, problem, named):
         cfg = _write(tmp_path, "bad.yaml", f"problem:\n  {problem}\n")
         exp = load_experiment(cfg)
-        with pytest.raises(ValueError, match="outside the domain"):
+        with pytest.raises(ValueError, match=named):
             build_problem(exp, tmp_path)
+        monkeypatch.setattr(cli, "minimize", _fail_if_called)
         assert cli.main(["solve", str(cfg)]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"config error: {named} ")
+        assert capsys.readouterr().err == (
+            f"config error: {named} is below 1, the value of the start mask\n")
 
     @pytest.mark.parametrize("image, size", [
         ("synthetic:cartoon", [1, 8]),

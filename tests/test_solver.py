@@ -550,7 +550,8 @@ class TestFailuresNameTheOuterIteration:
         H = ConvOperator2D(gaussian_psf(9, 1.0), shape)
         g = np.clip(degrade_synthetic(cartoon_image(shape), H, "cauchy", seed=5),
                     0.0, 1.0)
-        problem = CauchyDeblurProblem(H, g, shape, inner_limit=1)
+        problem = CauchyDeblurProblem(H, g, shape)
+        problem.prox.inner_limit = 1
         x0 = np.maximum(g, 1e-3)
 
         def run(iters):
