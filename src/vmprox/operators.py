@@ -24,17 +24,19 @@ class ConvOperator2D:
     """2-D convolution with a nonnegative kernel scaled to unit sum, periodic
     boundary, applied through the frequency domain on every grid.
 
-    ``apply`` multiplies the spectrum by the kernel's transfer function; the
-    adjoint (correlation with the same kernel under the same boundary rule)
-    multiplies by its complex conjugate, computed once with it.
+    ``apply`` multiplies the half spectrum of its real input (the last axis
+    holds ``w // 2 + 1`` frequencies, which fix the rest by Hermitian
+    symmetry) by the kernel's transfer function; the adjoint (correlation
+    with the same kernel under the same boundary rule) multiplies by its
+    complex conjugate, computed once with it.
 
-    Every transform is one call to pocketfft's ``c2c``, the backend behind
-    ``scipy.fft.fft2``/``ifft2``, with the arguments those wrappers pass, so
-    the results are theirs bit for bit.  Calling it directly skips the
-    wrappers' dispatch, shape checks and environment read, which cost more
-    than the transform on small grids, and lets the product and the inverse
-    transform work in the forward transform's output.  Each transform runs
-    on one worker.
+    Each call is pocketfft's ``r2c`` then ``c2r``, the backend of
+    ``scipy.fft.rfft2``/``irfft2(s=shape)``, with the arguments those
+    wrappers pass, so the results are theirs bit for bit; real transforms
+    cost about half as much as complex ones.  Calling the backend directly
+    skips the wrappers' dispatch, shape checks and environment read, which
+    cost more than the transform on small grids, and lets the product work
+    in the forward transform's output.  Each transform runs on one worker.
     """
 
     def __init__(self, psf, shape):
@@ -55,11 +57,13 @@ class ConvOperator2D:
         embedded = np.zeros(shape)
         embedded[:kh, :kw] = psf / total
         embedded = np.roll(embedded, (-(kh // 2), -(kw // 2)), axis=(0, 1))
-        self._otf = pypocketfft.c2c(embedded, (0, 1), True, 0, None, 1)
+        self._otf = pypocketfft.r2c(embedded, (0, 1), True, 0, None, 1)
         self._otf_conj = np.conj(self._otf)
 
     def norm_sq_bound(self):
-        """``max |otf|^2``, the exact ``||H||^2`` of a circulant."""
+        """``max |otf|^2``, the exact ``||H||^2`` of a circulant.  The half
+        spectrum holds the maximum, since ``|otf(-k)| = |otf(k)|`` for a real
+        kernel."""
         return float(np.max(np.abs(self._otf))) ** 2
 
     def _use_fft(self):
@@ -71,16 +75,17 @@ class ConvOperator2D:
         # ``spec`` is this call's own array.  The product is written into it
         # with the spectrum as first factor, the order of ``spec * otf``:
         # numpy's complex product rounds differently when its factors swap,
-        # which would change the bits of every result.  The inverse transform
-        # then runs in place on it, so the call makes no complex temporary
-        # and writes neither ``x`` nor the transfer functions.  The arguments
-        # of ``c2c(a, axes, forward, inorm, out, nthreads)`` are positional
-        # because keywords add about half as much again to a 32x32 call.
-        spec = pypocketfft.c2c(
+        # which would change the bits of every result.  The call writes
+        # neither ``x`` nor the transfer functions.  The arguments of
+        # ``r2c(a, axes, forward, inorm, out, nthreads)`` and ``c2r(a, axes,
+        # lastsize, forward, inorm, out, nthreads)`` are positional because
+        # keywords add about half as much again to a 32x32 call.
+        spec = pypocketfft.r2c(
             np.asarray(x, dtype=float).reshape(self.shape), (0, 1), True, 0,
             None, 1)
         np.multiply(spec, otf, out=spec)
-        return pypocketfft.c2c(spec, (0, 1), False, 2, spec, 1).real.ravel()
+        return pypocketfft.c2r(spec, (0, 1), self.shape[1], False, 2, None,
+                               1).ravel()
 
     def apply(self, x):
         return self._filter(x, self._otf)

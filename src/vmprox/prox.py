@@ -93,16 +93,30 @@ def project_dual_tv(v, rho, n):
     v = np.asarray(v, dtype=float)
     if v.shape != (3 * n,):
         raise ValueError(f"dual vector must have length {3 * n}")
-    return _project_dual_tv_in_place(v.copy(), rho, n, np.empty(n))
+    return _project_dual_tv_in_place(v.copy(), rho, n, np.empty((2, n)))
 
 
-def _project_dual_tv_in_place(v, rho, n, norms):
-    """:func:`project_dual_tv` on ``v`` itself; ``norms`` is a work array of
+def _project_dual_tv_in_place(v, rho, n, work):
+    """:func:`project_dual_tv` on ``v`` itself; ``work`` holds two arrays of
     length ``n``."""
     pv, ph, q = v[:n], v[n : 2 * n], v[2 * n :]
     if rho > 0:
+        # Each pair's norm is sqrt(pv^2 + ph^2), within about an ulp of
+        # hypot and several times cheaper.  The rounding cannot weaken the
+        # certificate, which is computed from whatever v the projection
+        # produces, never from how it was produced.  The squares keep that
+        # accuracy while they stay normal: with rho >= 1e-150 every pair on
+        # or outside the ball has a sum of squares of at least 1e-300,
+        # where a subnormal addend errs by at most 5e-324, and a pair whose
+        # squares underflow lies inside the ball either way.  Smaller rho,
+        # and squares that overflow (or NaN entries), take hypot itself.
+        if rho < 1e-150:
+            norms = np.hypot(pv, ph, out=work[0])
+        else:
+            norms = _pair_norms(pv, ph, work)
+            if not math.isfinite(norms.max()):
+                np.hypot(pv, ph, out=norms)
         # rho / max(norm, rho) is exactly 1 inside the ball (x / x == 1).
-        np.hypot(pv, ph, out=norms)
         np.maximum(norms, rho, out=norms)
         scale = np.divide(rho, norms, out=norms)
     else:
@@ -111,6 +125,15 @@ def _project_dual_tv_in_place(v, rho, n, norms):
     ph *= scale
     np.minimum(q, 0.0, out=q)
     return v
+
+
+def _pair_norms(a, b, work):
+    """``sqrt(a^2 + b^2)`` into ``work[0]``, with ``work[1]`` as scratch.
+    Squares that overflow give inf, without a warning."""
+    norms, sq = work
+    with np.errstate(over="ignore"):
+        np.add(np.square(a, out=norms), np.square(b, out=sq), out=norms)
+    return np.sqrt(norms, out=norms)
 
 
 def _merit_lower_bound(lin, quad, dv, dh, rho, f1_x, work):
@@ -123,10 +146,7 @@ def _merit_lower_bound(lin, quad, dv, dh, rho, f1_x, work):
     margin.  Underflowing squares err by at most 3e-162 per pair (the
     absolute term); overflowing ones give a non-finite bound, not to be used.
     """
-    norms, sq = work
-    with np.errstate(over="ignore"):
-        np.add(np.square(dv, out=norms), np.square(dh, out=sq), out=norms)
-    f1_fast = rho * float(np.sqrt(norms, out=norms).sum())
+    f1_fast = rho * float(_pair_norms(dv, dh, work).sum())
     margin = (1e-12 * (abs(lin) + abs(quad) + f1_fast + abs(f1_x))
               + 1e-150 * (1.0 + rho * dv.size))
     return lin + quad + f1_fast - f1_x - margin
@@ -313,9 +333,10 @@ class DualTVProx:
         # are never written again.  v_old starts as a copy of v, not v
         # itself, since u is built in its buffer.
         v_old, v_next = v.copy(), np.empty(reg.n_out)
-        atv, t, y, dy, prod, norms = (np.empty(n) for _ in range(6))
+        atv, t, y, dy, prod = (np.empty(n) for _ in range(5))
         diff = np.empty(2 * n)
-        work = np.empty((2, *reg.shape))
+        work = np.empty((2, *reg.shape))  # scratch of the bound and,
+        pair_work = work.reshape(2, n)    # as a view, of the projection
 
         def scaled_adjoint(p):  # t = alpha D^{-1} A^T p
             np.multiply(alpha, reg.adjoint(p, atv), out=t)
@@ -334,7 +355,7 @@ class DualTVProx:
                 reg.apply(np.subtract(z, scaled_adjoint(u), out=t), v_next)
                 v_next *= step
                 v_next += u
-                _project_dual_tv_in_place(v_next, rho, n, norms)
+                _project_dual_tv_in_place(v_next, rho, n, pair_work)
                 v_old, v, v_next = v, v_next, u
 
             # Candidate P_dom(w), w = z - alpha D^{-1} A^T v: projecting onto

@@ -105,9 +105,9 @@ class TestAuditTrace:
         assert audit_trace(res.trace, cfg).ok
 
     def test_merit_accepted_by_solver_passes_audit(self):
-        # The solver accepts h_gamma = +1.59e-10 at f = -76.13 (k = 22),
+        # The solver accepts h_gamma = +1.84e-10 at f = -72.98 (k = 19),
         # above the absolute 1e-10 slack; its own audit must accept it too.
-        res, cfg = _stationary_run((5, 13), "cauchy", 25743, "sg", "ritz",
+        res, cfg = _stationary_run((5, 13), "cauchy", 26012, "sg", "ritz",
                                    mu=1e3, tau=10**-0.375, gamma=0.0)
         assert max(r.h_gamma for r in res.trace) > 1e-10
         assert audit_trace(res.trace, cfg).ok

@@ -98,11 +98,20 @@ def test_conv_matches_dense_definition(psf, shape):
                                    rtol=0, atol=1e-10)
 
 
+def _embedded(psf, shape):
+    """The kernel scaled to unit sum, zero-padded to ``shape`` and centred
+    on pixel (0, 0)."""
+    kh, kw = psf.shape
+    embedded = np.zeros(shape)
+    embedded[:kh, :kw] = psf / psf.sum()
+    return np.roll(embedded, (-(kh // 2), -(kw // 2)), axis=(0, 1))
+
+
 def _scipy_fft_filter(op, x, otf):
-    """The ``scipy.fft.fft2``/``ifft2`` path that ``_filter`` calls the
+    """The ``scipy.fft.rfft2``/``irfft2`` path that ``_filter`` calls the
     backend of, with the product out of place."""
-    spec = scipy.fft.fft2(np.asarray(x, dtype=float).reshape(op.shape))
-    return scipy.fft.ifft2(spec * otf).real.ravel()
+    spec = scipy.fft.rfft2(np.asarray(x, dtype=float).reshape(op.shape))
+    return scipy.fft.irfft2(spec * otf, s=op.shape).ravel()
 
 
 @pytest.mark.parametrize("shape", [(5, 8), (16, 12), (32, 32), (64, 64),
@@ -110,12 +119,9 @@ def _scipy_fft_filter(op, x, otf):
 def test_conv_matches_scipy_fft_path_bitwise(shape):
     psf = np.random.default_rng(7).uniform(0.0, 1.0, (5, 5))
     op = ConvOperator2D(psf, shape)
-    kh, kw = psf.shape
-    embedded = np.zeros(shape)
-    embedded[:kh, :kw] = psf / psf.sum()
-    embedded = np.roll(embedded, (-(kh // 2), -(kw // 2)), axis=(0, 1))
-    np.testing.assert_array_equal(op._otf.view(np.int64),
-                                  scipy.fft.fft2(embedded).view(np.int64))
+    np.testing.assert_array_equal(
+        op._otf.view(np.int64),
+        scipy.fft.rfft2(_embedded(psf, shape)).view(np.int64))
     rng = np.random.default_rng(shape[0] * shape[1])
     for x in (rng.standard_normal(op.n_in), rng.uniform(0.0, 1.0, op.n_in)):
         x[::3] = -0.0
@@ -124,6 +130,26 @@ def test_conv_matches_scipy_fft_path_bitwise(shape):
                          (op.adjoint(x), np.conj(op._otf))):
             np.testing.assert_array_equal(
                 got.view(np.int64), _scipy_fft_filter(op, x, otf).view(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(7, 9), (9, 7), (5, 8), (1, 5), (5, 1),
+                                   (1, 1), (33, 64), (128, 128)])
+def test_conv_half_spectrum_matches_full_complex_path(shape):
+    # The full-spectrum reference: complex transforms of the real image and
+    # of the embedded kernel, the product over every frequency, the real
+    # part of the inverse.
+    side = [min(5, m if m % 2 else m - 1) for m in shape]
+    psf = np.random.default_rng(11).uniform(0.0, 1.0, side)
+    op = ConvOperator2D(psf, shape)
+    otf = scipy.fft.fft2(_embedded(psf, shape))
+    np.testing.assert_allclose(op.norm_sq_bound(),
+                               float(np.max(np.abs(otf))) ** 2, rtol=1e-14)
+    rng = np.random.default_rng(shape[0] + 100 * shape[1])
+    for x in (rng.standard_normal(op.n_in), rng.uniform(0.0, 1.0, op.n_in)):
+        spec = scipy.fft.fft2(x.reshape(shape))
+        for got, h in ((op.apply(x), otf), (op.adjoint(x), np.conj(otf))):
+            want = scipy.fft.ifft2(spec * h).real.ravel()
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_conv_writes_neither_its_input_nor_its_transfer_functions():
@@ -166,6 +192,10 @@ def test_import_does_not_load_ndimage():
     [
         ConvOperator2D(gaussian_psf(7, 1.0), (16, 16)),
         ConvOperator2D(gaussian_psf(9, 1.0), (16, 16)),
+        # asymmetric kernels on odd and thin grids: the adjoint is not apply
+        *(ConvOperator2D(np.random.default_rng(4).uniform(0.0, 1.0, psf), shape)
+          for psf, shape in (((5, 7), (7, 9)), ((7, 3), (16, 12)),
+                             ((1, 5), (1, 5)))),
         ForwardDifference2D((16, 16)),
         Laplacian2D((16, 16)),
         TVNonnegRegularizer((16, 16), 1.0),
@@ -173,7 +203,8 @@ def test_import_does_not_load_ndimage():
         *(Laplacian2D(shape) for shape in THIN_GRIDS),
         *(TVNonnegRegularizer(shape, 1.0) for shape in THIN_GRIDS),
     ],
-    ids=["conv7", "conv9fft", "fd", "laplacian", "stack",
+    ids=["conv7", "conv9fft", "conv5x7-7x9", "conv7x3-16x12", "conv1x5-1x5",
+         "fd", "laplacian", "stack",
          *(f"{name}-{h}x{w}" for name in ("fd", "laplacian", "stack")
            for h, w in THIN_GRIDS)],
 )

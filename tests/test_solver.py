@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from vmprox import prox as prox_module
 from vmprox.config import build_problem, load_experiment
 from vmprox.diagnostics import audit_trace
 from vmprox.operators import ConvOperator2D, gaussian_psf
@@ -395,19 +396,27 @@ class TestEvaluationCounts:
     def _counters(monkeypatch, problem):
         calls = {"f0": 0, "tv": 0, "pair_norms": 0}
         f0, hypot = problem.f0, np.hypot
+        project = prox_module._project_dual_tv_in_place
 
         def counted_f0(x):
             calls["f0"] += 1
             return f0(x)
 
         def counted_hypot(a, b, *args, **kwargs):
-            # TV sums take 2-D difference images, the dual projection 1-D
-            # slices of the dual vector.
-            calls["tv" if np.ndim(a) == 2 else "pair_norms"] += 1
+            # TV sums take 2-D difference images; the dual projection's
+            # range guard takes 1-D slices of the dual vector.
+            if np.ndim(a) == 2:
+                calls["tv"] += 1
             return hypot(a, b, *args, **kwargs)
+
+        def counted_project(*args):
+            calls["pair_norms"] += 1
+            return project(*args)
 
         monkeypatch.setattr(problem, "f0", counted_f0)
         monkeypatch.setattr(np, "hypot", counted_hypot)
+        monkeypatch.setattr(prox_module, "_project_dual_tv_in_place",
+                            counted_project)
         return calls
 
     def test_cauchy_16(self, monkeypatch):
