@@ -204,6 +204,6 @@ def gaussian_psf(size, sigma):
     if not sigma > 0:
         raise ValueError(f"psf_sigma must be positive, got {sigma}")
     r = (size - 1) / 2.0
-    yy, xx = np.mgrid[0:size, 0:size] - r
+    yy, xx = np.ogrid[-r:r + 1, -r:r + 1]
     k = np.exp(-(xx**2 + yy**2) / (2.0 * sigma**2))
     return k / k.sum()

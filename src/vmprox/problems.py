@@ -95,7 +95,7 @@ class DeblurProblem(Problem):
         h, w = shape
         self.n = h * w
         self.shape = (h, w)
-        grid = tuple(getattr(H, "shape", self.shape))  # a blur without one fits any grid
+        grid = tuple(H.shape)
         if grid != self.shape:
             raise ValueError(f"blur grid {grid} differs from image grid {self.shape}")
         self.H = H
@@ -124,8 +124,8 @@ class SignalDependentGaussianProblem(DeblurProblem):
     """Deconvolution under Gaussian noise whose variance is affine in the
     blurred intensity.
 
-    The misfit is ``0.5 * sum_i ((Hx)_i - g_i)^2 / (a_i (Hx)_i + b_i)
-    + log(a_i (Hx)_i + b_i)`` (nonconvex, smooth wherever the affine variance
+    The misfit is ``0.5 * sum_i ((Hx)_i - g_i)^2 / (a (Hx)_i + b)
+    + log(a (Hx)_i + b)`` (nonconvex, smooth wherever the affine variance
     is positive); the regularizer is ``rho * TV`` plus nonnegativity.
     """
 
@@ -134,15 +134,13 @@ class SignalDependentGaussianProblem(DeblurProblem):
     def __init__(self, H, g, shape, a=1.0, b=1.0, rho=0.03):
         # Before ``g``: data synthesized with a non-finite ``a`` or ``b`` is
         # non-finite too, and the message should name the parameter.
-        a = _finite("a", np.asarray(a, dtype=float))
-        b = _finite("b", np.asarray(b, dtype=float))
-        if np.any(a < 0):
-            raise ValueError("a must be nonnegative")
-        if np.any(b <= 0):
-            raise ValueError("b must be positive")
+        a, b = float(a), float(b)  # one affine variance for every pixel
+        if not 0 <= a < np.inf:
+            raise ValueError("a must be nonnegative and finite")
+        if not 0 < b < np.inf:
+            raise ValueError("b must be positive and finite")
         super().__init__(H, g, shape, rho)
-        self.a = np.full(self.n, a, dtype=float)
-        self.b = np.full(self.n, b, dtype=float)
+        self.a, self.b = a, b
 
     def _variance(self, t):
         c = self.a * t + self.b
@@ -177,8 +175,9 @@ class SignalDependentGaussianProblem(DeblurProblem):
     def curvature_bound(self):
         """Bound on the per-component second derivative of the misfit, valid
         on the nonnegative blurred range."""
-        pos = (self.a * self.g + self.b) ** 2 / self.b**3
-        neg = 0.5 * self.a**2 / self.b**2
+        a, b = np.asarray(self.a), np.asarray(self.b)  # numpy's power, not float's
+        pos = (a * self.g + b) ** 2 / b**3
+        neg = 0.5 * a**2 / b**2
         return float(np.max(np.maximum(pos, neg)))
 
 
@@ -451,8 +450,6 @@ def degrade_synthetic(x_true, H, model, seed, *, a=_GAUSSIAN_SD["a"],
     rng = np.random.default_rng(seed)
     t = H.apply(x_true)
     if model == "gaussian_sd":
-        a = np.broadcast_to(np.asarray(a, dtype=float), t.shape)
-        b = np.broadcast_to(np.asarray(b, dtype=float), t.shape)
         sigma = np.sqrt(np.maximum(a * t + b, 0.0))
         return t + sigma * rng.standard_normal(t.size)
     if model == "cauchy":
@@ -466,7 +463,7 @@ def cartoon_image(shape):
     h, w = shape
     img = np.full((h, w), 0.15)
     img[int(0.12 * h):int(0.55 * h), int(0.10 * w):int(0.45 * w)] = 0.75
-    yy, xx = np.mgrid[0:h, 0:w]
+    yy, xx = np.ogrid[0:h, 0:w]
     disk = (yy - 0.62 * h) ** 2 + (xx - 0.64 * w) ** 2 <= (0.22 * min(h, w)) ** 2
     img[disk] = 0.50
     small = (yy - 0.30 * h) ** 2 + (xx - 0.72 * w) ** 2 <= (0.10 * min(h, w)) ** 2
@@ -478,7 +475,7 @@ def cartoon_image(shape):
 def smooth_image(shape):
     """Deterministic smooth test image (Gaussian bumps), values in [0, 1]."""
     h, w = shape
-    yy, xx = np.mgrid[0:h, 0:w]
+    yy, xx = np.ogrid[0:h, 0:w]
     yy = yy / max(h - 1, 1)
     xx = xx / max(w - 1, 1)
     img = (

@@ -30,13 +30,16 @@ __all__ = [
 ]
 
 
+LAM_MIN = 2.0**-60  # the smallest probed step fraction: 61 probes at delta = 0.5
+
+
 class SolverError(RuntimeError):
     pass
 
 
 class LinesearchError(SolverError):
-    """Backtracking exhausted; finite termination is guaranteed in exact
-    arithmetic, so this signals a gradient or prox implementation bug.
+    """Backtracking passed :data:`LAM_MIN`; finite termination is guaranteed
+    in exact arithmetic, so this signals a gradient or prox bug.
 
     Escaping :func:`minimize`, it names the outer iteration ``k`` in its
     message and attribute, as an :class:`InexactProxError` does.
@@ -67,7 +70,6 @@ class SolverConfig:
     gamma: float = 1.0
     tau: float = 1e6 - 1
     max_outer_iters: int = 500
-    max_backtracks: int = 60
     stop_tol: float = 1e-8
 
     def __post_init__(self):
@@ -85,8 +87,6 @@ class SolverConfig:
             raise ValueError("tau must be positive")
         if self.max_outer_iters < 0:
             raise ValueError("max_outer_iters must be nonnegative")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be at least 1")
         if self.stop_tol < 0:
             raise ValueError("stop_tol must be nonnegative")
 
@@ -142,27 +142,26 @@ def armijo_backtrack(state, y_tilde, h_gamma_tilde, f1_tilde, problem, config):
     Probes are convex combinations of the current iterate and the proximal
     point, hence feasible; the ``lam = 1`` probe is ``y_tilde`` itself, whose
     ``f1`` value ``f1_tilde`` the prox already computed.  Each probe costs
-    one ``f0`` and, past the first, one ``f1``.  Returns
-    ``(lam, f_new, backtracks, x_probe, f1_new, f_tilde)``, where
-    ``f_tilde`` is the objective at ``y_tilde``.
+    one ``f0`` and, past the first, one ``f1``.  Probing stops at the step
+    fraction :data:`LAM_MIN`; past it a :class:`LinesearchError` carries
+    every probe.  Returns ``(lam, f_new, backtracks, x_probe, f1_new,
+    f_tilde)``, where ``f_tilde`` is the objective at ``y_tilde``.
     """
     probes = []
     lam = 1.0
     x_probe, f1_probe = y_tilde, f1_tilde
-    for i in range(config.max_backtracks + 1):
-        if i > 0:
+    while lam >= LAM_MIN:
+        if probes:
             x_probe = (1.0 - lam) * state.x + lam * y_tilde
             f1_probe = problem.f1(x_probe)
         f_probe = problem.f0(x_probe) + f1_probe if np.isfinite(f1_probe) else np.inf
-        if i == 0:
-            f_tilde = f_probe
         probes.append((lam, f_probe))
         if f_probe <= state.f_value + config.beta * lam * h_gamma_tilde:
-            return lam, f_probe, i, x_probe, f1_probe, f_tilde
+            return lam, f_probe, len(probes) - 1, x_probe, f1_probe, probes[0][1]
         lam *= config.delta
     raise LinesearchError(
-        f"no sufficient decrease within {config.max_backtracks} backtracks "
-        f"(h_gamma={h_gamma_tilde:.3e})",
+        f"no sufficient decrease within {len(probes)} probes down to "
+        f"lam={LAM_MIN:.3e} (h_gamma={h_gamma_tilde:.3e})",
         probes,
     )
 

@@ -78,9 +78,11 @@ _KEY_VALUES = {
 _UNREAD = [(kind, key) for kind, reads in _KIND_READS.items()
            for key in sorted(set(_KEY_VALUES) - reads)]
 # Solver keys that a run never reads: the dual prox's keywords on every kind
-# (a library caller sets them on ``problem.prox``), and ``ritz_window`` with
-# any steplength (the window is fixed).
+# (a library caller sets them on ``problem.prox``), ``ritz_window`` with
+# any steplength (the window is fixed) and ``max_backtracks`` (the
+# linesearch stops at ``solver.LAM_MIN``).
 _SOLVER_UNREAD = [
+    ("cauchy", "max_backtracks: 60", "max_backtracks"),
     ("compression", "inner_limit: 7", "inner_limit"),
     ("compression", "warm_start: false", "warm_start"),
     ("toy1d", "inner_limit: 7", "inner_limit"),
@@ -283,7 +285,7 @@ class TestSolve:
         ("kind: compression\n  box_upper: -1.0", "box_upper must be positive"),
         ("kind: gaussian_sd\n  rho: .nan", "rho must be nonnegative and finite"),
         ("kind: compression\n  lambda_reg: .nan", "lambda_reg must be finite"),
-        ("kind: gaussian_sd\n  a: .nan", "a has non-finite entries"),
+        ("kind: gaussian_sd\n  a: .nan", "a must be nonnegative and finite"),
         ("kind: cauchy\n  gamma_noise: .inf",
          "gamma_noise must be positive and finite"),
     ], ids=["lambda-negative", "lambda-zero", "lambda-inf", "sigma-zero",

@@ -21,10 +21,12 @@ from vmprox.problems import (
 
 
 class IdentityOperator:
-    """The identity map, as the blur of hand-checkable problems."""
+    """The identity map on a ``shape`` grid, as the blur of hand-checkable
+    problems."""
 
-    def __init__(self, n):
-        self.n_in = self.n_out = n
+    def __init__(self, shape):
+        self.shape = shape
+        self.n_in = self.n_out = shape[0] * shape[1]
 
     def apply(self, x):
         return np.array(x, dtype=float)
@@ -42,7 +44,7 @@ def _deconv_setup(seed=11, shape=(8, 8), model="gaussian_sd"):
 class TestSignalDependentGaussian:
     def test_scalar_hand_value(self):
         p = SignalDependentGaussianProblem(
-            IdentityOperator(1), np.array([0.0]), (1, 1), a=1.0, b=1.0, rho=0.0
+            IdentityOperator((1, 1)), np.array([0.0]), (1, 1), a=1.0, b=1.0, rho=0.0
         )
         assert p.f0(np.array([1.0])) == pytest.approx(
             0.5 * (0.5 + np.log(2.0)), rel=1e-15
@@ -69,30 +71,36 @@ class TestSignalDependentGaussian:
 
     def test_domain_guard(self):
         p = SignalDependentGaussianProblem(
-            IdentityOperator(1), np.array([0.0]), (1, 1), a=1.0, b=0.5, rho=0.0
+            IdentityOperator((1, 1)), np.array([0.0]), (1, 1), a=1.0, b=0.5, rho=0.0
         )
         with pytest.raises(DomainError):
             p.f0(np.array([-2.0]))
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            SignalDependentGaussianProblem(
-                IdentityOperator(1), np.zeros(1), (1, 1), a=-1.0
-            )
-        with pytest.raises(ValueError):
-            SignalDependentGaussianProblem(
-                IdentityOperator(1), np.zeros(1), (1, 1), b=0.0
-            )
+        for a in (-1.0, -np.inf, np.inf, np.nan):
+            with pytest.raises(ValueError, match="^a must be nonnegative and finite$"):
+                SignalDependentGaussianProblem(
+                    IdentityOperator((1, 1)), np.zeros(1), (1, 1), a=a
+                )
+        for b in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="^b must be positive and finite$"):
+                SignalDependentGaussianProblem(
+                    IdentityOperator((1, 1)), np.zeros(1), (1, 1), b=b
+                )
 
     @pytest.mark.parametrize("name", ["g", "a", "b"])
     def test_non_finite_data_rejected(self, name):
         # Data synthesized with a non-finite ``a`` or ``b`` is non-finite
         # too, so ``g`` is as well, and the message names the parameter.
-        data = {"g": np.array([np.inf, 0.0]), "a": np.ones(2), "b": np.ones(2)}
-        data[name][1] = np.nan
-        with pytest.raises(ValueError, match=f"^{name} has non-finite"):
+        data = {"g": np.array([np.inf, 0.0]), "a": 1.0, "b": 1.0}
+        if name == "g":
+            data["g"][1] = np.nan
+        else:
+            data[name] = np.nan
+        with pytest.raises(ValueError,
+                           match=f"^{name} (has non-finite|must be .* finite$)"):
             SignalDependentGaussianProblem(
-                IdentityOperator(2), data["g"], (1, 2), a=data["a"], b=data["b"]
+                IdentityOperator((1, 2)), data["g"], (1, 2), a=data["a"], b=data["b"]
             )
 
     def test_finite_on_nonneg_orthant(self):
@@ -104,10 +112,39 @@ class TestSignalDependentGaussian:
             assert np.isfinite(p.f0(x))
             assert np.all(np.isfinite(p.grad_f0(x)))
 
+    def test_scalar_noise_matches_per_pixel_arrays_bitwise(self):
+        # The reference is the model as it was when it stored ``a`` and
+        # ``b`` as per-pixel arrays; Python's float power rounds unlike
+        # numpy's array power in about 5% of these draws.
+        shape = (4, 4)
+        H = ConvOperator2D(gaussian_psf(3, 1.0), shape)
+        truth = cartoon_image(shape)
+        rng = np.random.default_rng(3)
+        for seed in range(60):
+            a, b = 10.0 ** rng.uniform(-6.0, 4.0, 2)
+            g = degrade_synthetic(truth, H, "gaussian_sd", seed, a=a, b=b)
+            p = SignalDependentGaussianProblem(H, g, shape, a=a, b=b)
+            x = rng.uniform(0.0, 2.0, 16)
+            t = H.apply(x)
+            A, B = np.full(16, a), np.full(16, b)
+            t0 = H.apply(truth)
+            ref_g = t0 + np.sqrt(np.maximum(A * t0 + B, 0.0)) * (
+                np.random.default_rng(seed).standard_normal(16))
+            c, r = A * t + B, t - g
+            s = t * (A * (t + g) + 2.0 * B) / (2.0 * c * c) + 0.5 * A / c
+            bound = np.maximum((A * g + B) ** 2 / B**3, 0.5 * A**2 / B**2)
+            assert g.tobytes() == ref_g.tobytes()
+            assert p.f0(x) == 0.5 * float(np.sum(r * r / c + np.log(c)))
+            assert p.grad_f0(x).tobytes() == H.adjoint(
+                r / c - 0.5 * A * r * r / (c * c) + 0.5 * A / c).tobytes()
+            assert p.split_gradient_metric(x).tobytes() == (
+                x / (H.adjoint(s) + np.finfo(float).eps)).tobytes()
+            assert p.curvature_bound() == float(np.max(bound))
+
 
 class TestCauchy:
     def test_scalar_hand_values(self):
-        p = CauchyDeblurProblem(IdentityOperator(1), np.array([0.0]), (1, 1),
+        p = CauchyDeblurProblem(IdentityOperator((1, 1)), np.array([0.0]), (1, 1),
                                 gamma_noise=1.0, lambda_reg=2.0)
         assert p.f0(np.array([1.0])) == pytest.approx(np.log(2.0), rel=1e-15)
         assert p.grad_f0(np.array([1.0]))[0] == pytest.approx(1.0, rel=1e-15)
@@ -157,7 +194,7 @@ class TestCauchy:
             CauchyDeblurProblem(H, g, (8, 8), gamma_noise=np.inf)
 
     def test_curvature_bound_dominates_samples(self):
-        p = CauchyDeblurProblem(IdentityOperator(1), np.array([0.3]), (1, 1),
+        p = CauchyDeblurProblem(IdentityOperator((1, 1)), np.array([0.3]), (1, 1),
                                 gamma_noise=0.5, lambda_reg=0.7)
         bound = p.curvature_bound()
         assert bound == pytest.approx(0.7 / 0.25)
@@ -297,7 +334,7 @@ def test_active_mask_is_the_rule_each_kind_stated(kind):
     else:
         cls = {"gaussian_sd": SignalDependentGaussianProblem,
                "cauchy": CauchyDeblurProblem}[kind]
-        problem, rule = cls(IdentityOperator(8), np.ones(8), shape), x == 0.0
+        problem, rule = cls(IdentityOperator(shape), np.ones(8), shape), x == 0.0
     np.testing.assert_array_equal(problem.active_mask(x), rule)
     np.testing.assert_array_equal(problem.active_mask(list(x)), rule)
 
@@ -452,7 +489,7 @@ class TestDegradeSynthetic:
 
     def test_cauchy_median_order_statistic(self):
         n = 1_000_000
-        H = IdentityOperator(n)
+        H = IdentityOperator((1, n))
         gamma = 0.02
         v = degrade_synthetic(np.zeros(n), H, "cauchy", seed=8,
                               gamma_noise=gamma)
@@ -462,7 +499,7 @@ class TestDegradeSynthetic:
     def test_cauchy_tail_mass(self):
         n = 1_000_000
         gamma = 0.02
-        v = degrade_synthetic(np.zeros(n), IdentityOperator(n), "cauchy",
+        v = degrade_synthetic(np.zeros(n), IdentityOperator((1, n)), "cauchy",
                               seed=12, gamma_noise=gamma)
         frac = np.mean(np.abs(v) > 10 * gamma)
         expected = 1.0 - 2.0 / np.pi * np.arctan(10.0)

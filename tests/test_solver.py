@@ -23,6 +23,7 @@ from vmprox.problems import (
 )
 from vmprox.prox import BoxProx, InexactProxError
 from vmprox.solver import (
+    LAM_MIN,
     IterateState,
     LinesearchError,
     SolverConfig,
@@ -86,7 +87,6 @@ class TestSolverConfig:
         assert cfg.beta == 1e-4
         assert cfg.gamma == 1.0
         assert cfg.tau == 1e6 - 1
-        assert cfg.max_backtracks == 60
         assert cfg.stop_tol == 1e-8
 
     @pytest.mark.parametrize(
@@ -99,7 +99,7 @@ class TestSolverConfig:
             {"beta": 0.0},
             {"gamma": 1.5},
             {"tau": 0.0},
-            {"max_backtracks": 0},
+            {"max_outer_iters": -1},
             {"stop_tol": -1.0},
         ],
     )
@@ -207,11 +207,20 @@ class TestArmijo:
     def test_failure_carries_probe_trace(self):
         # An uphill direction paired with a (bogus) negative merit value can
         # never satisfy the decrease test: the failure carries every probe.
+        # At delta = 0.5 it probes lam = 1, 1/2, ..., 2^-60 = LAM_MIN; the
+        # merit value is large enough that beta * LAM_MIN * h_gamma still
+        # moves f(x) once the probes round to x itself.
         p, st = _toy_state(x=4.0)
-        cfg = SolverConfig(max_backtracks=5)
         with pytest.raises(LinesearchError) as ei:
-            armijo_backtrack(st, np.array([0.0]), -1e-9, 0.0, p, cfg)
-        assert len(ei.value.probes) == 6
+            armijo_backtrack(st, np.array([0.0]), -1e30, 0.0, p, SolverConfig())
+        assert [lam for lam, _ in ei.value.probes] == [0.5**i for i in range(61)]
+        assert ei.value.probes[-1][0] == LAM_MIN
+        # the same floor at any other delta
+        with pytest.raises(LinesearchError) as ei:
+            armijo_backtrack(st, np.array([0.0]), -1e30, 0.0, p,
+                             SolverConfig(delta=0.9))
+        last = ei.value.probes[-1][0]
+        assert last >= LAM_MIN > last * 0.9
 
 
 class TestSolverStep:
@@ -532,8 +541,11 @@ class TestBlurCache:
         assert len(calls) == 4
 
 
-class _UphillFromStep3(_QuadProblem):
-    """The gradient points uphill from the state of outer iteration 3 on."""
+class _JumpFromStep3(_QuadProblem):
+    """``f0`` is one higher at every probe of outer iteration 3 than at its
+    state.  A wrong gradient alone would not do: once ``lam`` drops below
+    the iterate's relative precision, the probes round to the iterate itself
+    and pass the test with equality."""
 
     def __init__(self):
         super().__init__()
@@ -541,18 +553,20 @@ class _UphillFromStep3(_QuadProblem):
 
     def grad_f0(self, x):
         self.grad_calls += 1  # call m computes the gradient of state m - 1
-        g = super().grad_f0(x)
-        return -g if self.grad_calls > 3 else g
+        return super().grad_f0(x)
+
+    def f0(self, x):
+        return super().f0(x) + (1.0 if self.grad_calls > 3 else 0.0)
 
 
 class TestFailuresNameTheOuterIteration:
     def test_linesearch_error(self):
-        config = SolverConfig(alpha_max=0.1, stop_tol=0.0, max_backtracks=5)
+        config = SolverConfig(alpha_max=0.1, stop_tol=0.0)
         with pytest.raises(LinesearchError) as ei:
-            minimize(_UphillFromStep3(), config, np.array([1.0, -2.0]))
+            minimize(_JumpFromStep3(), config, np.array([1.0, -2.0]))
         assert ei.value.k == 3
         assert str(ei.value).startswith("outer iteration 3: no sufficient decrease")
-        assert len(ei.value.probes) == 6
+        assert len(ei.value.probes) == 61
 
     def test_inexact_prox_error(self):
         shape = (16, 16)

@@ -97,10 +97,11 @@ def _clamped_metric(inv_diag, mu):
 
 
 class _IdentityBlur:
-    """``H = I`` on ``n`` pixels, so hand values need no convolution."""
+    """``H = I`` on a ``shape`` grid, so hand values need no convolution."""
 
-    def __init__(self, n):
-        self.n_in = self.n_out = n
+    def __init__(self, shape):
+        self.shape = shape
+        self.n_in = self.n_out = shape[0] * shape[1]
 
     def apply(self, x):
         return np.array(x, dtype=float)
@@ -113,12 +114,12 @@ class _IdentityBlur:
 
 
 def _gaussian(n=1, a=1.0, b=1.0, g=1.0):
-    return SignalDependentGaussianProblem(_IdentityBlur(n), np.full(n, g),
+    return SignalDependentGaussianProblem(_IdentityBlur((1, n)), np.full(n, g),
                                           (1, n), a=a, b=b)
 
 
 def _cauchy(n=1, gamma=1.0, lam=1.0, g=0.0):
-    return CauchyDeblurProblem(_IdentityBlur(n), np.full(n, g), (1, n),
+    return CauchyDeblurProblem(_IdentityBlur((1, n)), np.full(n, g), (1, n),
                                gamma_noise=gamma, lambda_reg=lam)
 
 
@@ -406,7 +407,8 @@ def _sg_cases(draw):
     n = h * w
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     blurred = h >= 3 and w >= 3 and draw(st.booleans())
-    H = ConvOperator2D(gaussian_psf(3, 1.0), (h, w)) if blurred else _IdentityBlur(n)
+    H = (ConvOperator2D(gaussian_psf(3, 1.0), (h, w)) if blurred
+         else _IdentityBlur((h, w)))
     g = rng.uniform(-0.5, 1.5, n)
     x = rng.uniform(0.0, 2.0, n)
     x[rng.random(n) < 0.3] = 0.0

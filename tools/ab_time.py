@@ -11,6 +11,12 @@ won, and whether the two sides' ``final_f`` agree bit for bit.  ``--seed``
 replaces the preset's noise seed on both sides, so a change that moves bits
 can be timed over several noise draws.
 
+Then it times the set-up: 40 rounds, the side that runs first alternating,
+each timing 15 ``load_experiment`` plus ``build_problem`` calls per side.
+It prints each side's median of its round medians and how many rounds each
+side won.  A set-up takes about a millisecond, and its process-level median
+can shift by a quarter between processes with no set-up code changed.
+
 Process-level pairs on a shared machine spread by several percent, so a
 difference of a few percent needs many of them.  Alternating in one process
 takes the start-up and the machine's drift out of each pair.  This is a
@@ -42,6 +48,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SETUP_ROUNDS = 40
+SETUP_CALLS = 15  # set-ups timed per side and round
 
 
 def load_package(alias, checkout):
@@ -70,15 +78,30 @@ class Side:
         self.seed = seed
         self.times = []
         self.final_f = []
+        self.setup_times = []
 
-    def solve(self, timed):
+    def build(self):
+        """The preset's config and ``build_problem``'s output for it."""
         cfg = self.config.load_experiment(self.preset)
         if self.seed is not None:
             cfg = dataclasses.replace(cfg, seed=self.seed)
+        return cfg, self.config.build_problem(cfg, self.preset.parent)
+
+    def setup_round(self):
+        """Record the median time of ``SETUP_CALLS`` calls of :meth:`build`."""
+        gc.collect()
+        times = []
+        for _ in range(SETUP_CALLS):
+            start = time.perf_counter()
+            self.build()
+            times.append(time.perf_counter() - start)
+        self.setup_times.append(statistics.median(times))
+
+    def solve(self, timed):
+        cfg, (problem, _, _, x0, _) = self.build()
         solver = cfg.solver
         if self.max_iters is not None:
             solver = dataclasses.replace(solver, max_outer_iters=self.max_iters)
-        problem, _, _, x0, _ = self.config.build_problem(cfg, self.preset.parent)
         gc.collect()
         start = time.perf_counter()
         result = self.solver.minimize(problem, solver, x0, metric=cfg.metric,
@@ -116,6 +139,9 @@ def main(argv=None):
     for pair in range(args.pairs):
         for side in ((ours, theirs) if pair % 2 == 0 else (theirs, ours)):
             side.solve(timed=True)
+    for round_ in range(SETUP_ROUNDS):
+        for side in ((ours, theirs) if round_ % 2 == 0 else (theirs, ours)):
+            side.setup_round()
 
     seed = "the preset's" if args.seed is None else args.seed
     print(f"{args.preset.name}: {args.pairs} pairs, first side alternating; "
@@ -142,6 +168,19 @@ def main(argv=None):
         print(f"final_f bitwise equal: {last[0]!r}")
     else:
         print(f"final_f differs: repo {last[0]!r}, against {last[1]!r}")
+
+    print(f"set-up: {SETUP_ROUNDS} rounds of {SETUP_CALLS} load_experiment + "
+          "build_problem calls per side, first side alternating")
+    print(f"{'side':8s} {'median_ms':>9s}  checkout")
+    for side, checkout in ((ours, ROOT), (theirs, args.against)):
+        print(f"{side.name:8s} {1e3 * statistics.median(side.setup_times):9.4f}"
+              f"  {checkout}")
+    print("median_ms: median over rounds of each round's median set-up")
+    won = sum(a < b for a, b in zip(ours.setup_times, theirs.setup_times))
+    ratio = (statistics.median(ours.setup_times)
+             / statistics.median(theirs.setup_times))
+    print(f"repo faster in {won} of {SETUP_ROUNDS} rounds; "
+          f"median ratio repo/against {ratio:.4f}")
     return 0
 
 
