@@ -4,9 +4,9 @@ from .diagnostics import AuditReport, audit_trace, dense_prox_oracle, fd_gradien
 from .operators import (
     ConvOperator2D,
     ForwardDifference2D,
-    Laplacian2D,
     gaussian_psf,
     isotropic_tv,
+    laplacian,
 )
 from .problems import (
     CauchyDeblurProblem,

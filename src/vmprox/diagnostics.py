@@ -305,15 +305,12 @@ def dense_prox_oracle(z, alpha, metric, regularizer, iters=100_000):
 
     Runs a splitting iteration with closed-form pieces, independent of the
     dual-ascent solver it is used to check, for at most ``iters`` steps.
-    ``regularizer`` may be a :class:`~vmprox.prox.BoxProx`, a
-    :class:`~vmprox.prox.TVNonnegRegularizer`, or ``None`` (no regularizer,
-    the minimizer is ``z`` itself).  Restricted to small sizes.
+    ``regularizer`` is a :class:`~vmprox.prox.BoxProx` or a
+    :class:`~vmprox.prox.TVNonnegRegularizer`.  Restricted to small sizes.
     """
     z = np.asarray(z, dtype=float)
     if z.size > 64:
         raise ValueError("dense oracle restricted to tiny instances")
-    if regularizer is None:
-        return z.copy()
     if isinstance(regularizer, BoxProx):
         return _box_prox_reference(
             z, alpha, metric, regularizer.lower, regularizer.upper, iters

@@ -2,7 +2,8 @@
 
 All operators act on flat float64 vectors holding row-major rasters of a
 fixed (height, width) grid.  Every operator provides an exact adjoint; the
-convolution also gives its exact squared spectral norm.
+convolution also gives its exact squared spectral norm.  The Laplacian is a
+sparse matrix, which the compression problem factors.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from scipy.fft._pocketfft import pypocketfft
 __all__ = [
     "ConvOperator2D",
     "ForwardDifference2D",
-    "Laplacian2D",
     "gaussian_psf",
     "isotropic_tv",
+    "laplacian",
 ]
 
 
@@ -159,7 +160,7 @@ def isotropic_tv(x, shape):
     return _tv_sum(*ForwardDifference2D(shape).apply(x).reshape(2, *shape))
 
 
-class Laplacian2D:
+def laplacian(shape):
     """5-point Neumann Laplacian (interior stencil: center -4, neighbors +1).
 
     One canonical CSR matrix ``L = -D^T D``, where ``D`` differences the
@@ -167,34 +168,21 @@ class Laplacian2D:
     with the one below it and with the one to its right.  ``L`` has +1 at
     both off-diagonal places of each pair and minus the pixel's neighbour
     count on the diagonal, which is stored on every grid, also where it is
-    zero (1x1).  Every map, and :meth:`sparse`, uses this matrix.
+    zero (1x1).  ``L`` is symmetric, so it is its own adjoint.
     """
-
-    def __init__(self, shape):
-        h, w = shape
-        self.shape = (h, w)
-        n = self.n_in = self.n_out = h * w
-        pixel = np.arange(n).reshape(h, w)
-        lo = np.concatenate([pixel[:-1].ravel(), pixel[:, :-1].ravel()])
-        hi = np.concatenate([pixel[1:].ravel(), pixel[:, 1:].ravel()])
-        rows = np.concatenate([lo, hi, pixel.ravel()])
-        cols = np.concatenate([hi, lo, pixel.ravel()])
-        degree = np.bincount(rows[: 2 * lo.size], minlength=n)
-        data = np.concatenate([np.ones(2 * lo.size), 0.0 - degree])  # 0.0, not -0.0
-        order = np.lexsort((cols, rows))
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        self._matrix = scipy.sparse.csr_matrix(
-            (data[order], cols[order], indptr), shape=(n, n))
-
-    def apply(self, x):
-        return self._matrix @ np.asarray(x, dtype=float).ravel()
-
-    def adjoint(self, y):
-        return self.apply(y)
-
-    def sparse(self):
-        """The CSR matrix ``L``, for direct linear solves."""
-        return self._matrix
+    h, w = shape
+    n = h * w
+    pixel = np.arange(n).reshape(h, w)
+    lo = np.concatenate([pixel[:-1].ravel(), pixel[:, :-1].ravel()])
+    hi = np.concatenate([pixel[1:].ravel(), pixel[:, 1:].ravel()])
+    rows = np.concatenate([lo, hi, pixel.ravel()])
+    cols = np.concatenate([hi, lo, pixel.ravel()])
+    degree = np.bincount(rows[: 2 * lo.size], minlength=n)
+    data = np.concatenate([np.ones(2 * lo.size), 0.0 - degree])  # 0.0, not -0.0
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return scipy.sparse.csr_matrix((data[order], cols[order], indptr),
+                                   shape=(n, n))
 
 
 def gaussian_psf(size, sigma):

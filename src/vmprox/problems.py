@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .operators import Laplacian2D
+from .operators import laplacian
 from .prox import BoxProx, DualTVProx, TVNonnegRegularizer
 
 __all__ = [
@@ -312,7 +312,7 @@ class MaskCompressionProblem(Problem):
         self.lambda_reg = float(lambda_reg)
         if not box_upper > 0:
             raise ValueError("box_upper must be positive")
-        self.L = Laplacian2D(shape).sparse()
+        self.L = laplacian(shape)
         self.prox = BoxProx(0.0, box_upper)
         # L in canonical CSC; its diagonal is stored on every grid
         Lc = self.L.tocsc()

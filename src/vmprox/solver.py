@@ -38,8 +38,11 @@ class SolverError(RuntimeError):
 
 
 class LinesearchError(SolverError):
-    """Backtracking passed :data:`LAM_MIN`; finite termination is guaranteed
-    in exact arithmetic, so this signals a gradient or prox bug.
+    """Backtracking passed :data:`LAM_MIN`, or accepted a probe that rounds
+    to the iterate itself although the merit value promised a decrease
+    beyond :func:`~vmprox.diagnostics.merit_slack`.  Finite termination with
+    a moving step is guaranteed in exact arithmetic, so either signals a
+    gradient or prox bug.
 
     Escaping :func:`minimize`, it names the outer iteration ``k`` in its
     message and attribute, as an :class:`InexactProxError` does.
@@ -144,8 +147,12 @@ def armijo_backtrack(state, y_tilde, h_gamma_tilde, f1_tilde, problem, config):
     ``f1`` value ``f1_tilde`` the prox already computed.  Each probe costs
     one ``f0`` and, past the first, one ``f1``.  Probing stops at the step
     fraction :data:`LAM_MIN`; past it a :class:`LinesearchError` carries
-    every probe.  Returns ``(lam, f_new, backtracks, x_probe, f1_new,
-    f_tilde)``, where ``f_tilde`` is the objective at ``y_tilde``.
+    every probe.  So does an accepted probe equal to ``state.x`` bit for bit
+    while ``-h_gamma_tilde`` exceeds the merit slack: only a wrong gradient
+    or prox makes a genuine descent direction fail down to rounding.  At or
+    within the slack such a step means stationary to rounding.  Returns
+    ``(lam, f_new, backtracks, x_probe, f1_new, f_tilde)``, where
+    ``f_tilde`` is the objective at ``y_tilde``.
     """
     probes = []
     lam = 1.0
@@ -157,6 +164,11 @@ def armijo_backtrack(state, y_tilde, h_gamma_tilde, f1_tilde, problem, config):
         f_probe = problem.f0(x_probe) + f1_probe if np.isfinite(f1_probe) else np.inf
         probes.append((lam, f_probe))
         if f_probe <= state.f_value + config.beta * lam * h_gamma_tilde:
+            if (-h_gamma_tilde > diagnostics.merit_slack(state.f_value)
+                    and np.array_equal(x_probe, state.x)):
+                raise LinesearchError(
+                    f"probe {len(probes)} at lam={lam:.3e} rounds to the "
+                    f"iterate although h_gamma={h_gamma_tilde:.3e}", probes)
             return lam, f_probe, len(probes) - 1, x_probe, f1_probe, probes[0][1]
         lam *= config.delta
     raise LinesearchError(
@@ -265,8 +277,6 @@ def minimize(problem, config, x0, metric="identity", steplength="bb",
     ``METRIC_STRATEGIES`` and ``STEPLENGTH_STRATEGIES``, or strategy
     instances; a metric strategy proposes the entries of ``D^{-1}`` and a
     steplength strategy a steplength, and :func:`solver_step` clamps both.
-    A named Ritz steplength keeps a window of ``RITZ_WINDOW`` gradients;
-    pass a :class:`~vmprox.strategies.RitzSteplengthStrategy` for another.
     Stops after ``config.max_outer_iters`` iterations or when
     the relative step norm drops to ``config.stop_tol``.  Returns a
     :class:`SolveResult` whose trace has one record per iteration performed.

@@ -23,7 +23,7 @@ from scipy.linalg.lapack import dpotrf, dsyevr, dtrtrs
 from .problems import DEBLUR_KINDS
 
 logger = logging.getLogger(__name__)
-RITZ_WINDOW = 3  # gradients per Ritz window when no window is given
+RITZ_WINDOW = 3  # gradients per Ritz window
 
 __all__ = [
     "DiagonalMetric",
@@ -189,17 +189,15 @@ class BBSteplengthStrategy:
 class RitzSteplengthStrategy:
     """Steplengths from reciprocal Ritz values, one consumed per iteration.
 
-    ``history`` keeps the most recent ``window`` pairs of steplength and
-    scaled reduced gradient; ``queue`` the pending reciprocal Ritz values,
-    rebuilt from a full window whenever it runs empty.  Before the window
-    fills (and on factorization failure) the strategy falls back to the BB1
-    rule.  Steplengths are consumed smallest first.
+    ``history`` keeps the most recent :data:`RITZ_WINDOW` pairs of
+    steplength and scaled reduced gradient; ``queue`` the pending reciprocal
+    Ritz values, rebuilt from a full window whenever it runs empty.  Before
+    the window fills (and on factorization failure) the strategy falls back
+    to the BB1 rule.  Steplengths are consumed smallest first.
     """
 
-    def __init__(self, window=RITZ_WINDOW):
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        self.history = deque(maxlen=window)
+    def __init__(self):
+        self.history = deque(maxlen=RITZ_WINDOW)
         self.queue = deque()
         self._bb = BBSteplengthStrategy()
 

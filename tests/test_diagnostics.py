@@ -166,12 +166,11 @@ class TestDenseProxOracle:
         y = dense_prox_oracle(z, 0.7, metric, BoxProx(0.0, 1.5))
         assert np.abs(y - exact_prox_box(z, 0.0, 1.5)).max() <= 1e-12
 
-    def test_no_regularizer_returns_target(self):
-        z = np.array([0.3, -0.2, 4.0])
+    def test_rejects_unsupported_regularizers(self):
         metric = DiagonalMetric.identity(3, 10.0)
-        np.testing.assert_array_equal(
-            dense_prox_oracle(z, 1.0, metric, None), z
-        )
+        for regularizer in (None, object()):
+            with pytest.raises(TypeError, match="^unsupported regularizer "):
+                dense_prox_oracle(np.zeros(3), 1.0, metric, regularizer)
 
     def test_self_consistency(self):
         rng = np.random.default_rng(2)
@@ -185,7 +184,8 @@ class TestDenseProxOracle:
     def test_rejects_large_instances(self):
         with pytest.raises(ValueError):
             dense_prox_oracle(np.zeros(100), 1.0,
-                              DiagonalMetric.identity(100, 2.0), None)
+                              DiagonalMetric.identity(100, 2.0),
+                              BoxProx(0.0, 1.0))
 
     def test_matches_convex_solver(self):
         cp = pytest.importorskip("cvxpy")

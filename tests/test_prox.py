@@ -10,7 +10,6 @@ from vmprox.diagnostics import dense_prox_oracle
 from vmprox.operators import (
     ConvOperator2D,
     ForwardDifference2D,
-    Laplacian2D,
     gaussian_psf,
 )
 from vmprox.problems import CauchyDeblurProblem, cartoon_image, degrade_synthetic
@@ -577,7 +576,7 @@ def test_operators_and_proxes_keep_no_per_call_arrays():
     x, p = rng.random(n), rng.standard_normal(3 * n)
     reg = TVNonnegRegularizer(shape, 0.2)
     operators = [ConvOperator2D(gaussian_psf(3, 1.0), shape),
-                 ForwardDifference2D(shape), Laplacian2D(shape), reg]
+                 ForwardDifference2D(shape), reg]
     proxes = [DualTVProx(reg, warm_start=False), DualTVProx(reg), BoxProx(0.0, 1.0)]
 
     def arrays(obj, path="", seen=None):

@@ -199,8 +199,10 @@ class TestArmijo:
         x = np.array([10.0])
         st = IterateState(x=x, f_value=p.f(x), f1_value=0.0,
                           grad_f0=p.grad_f0(x), k=0)
+        # An uphill direction with a merit value within the rounding slack:
+        # the probes shrink until one rounds to x, which passes with equality.
         lam, f_new, _, probe, _, _ = armijo_backtrack(
-            st, np.array([0.0]), -1e-9, 0.0, p, SolverConfig())
+            st, np.array([0.0]), -1e-11, 0.0, p, SolverConfig())
         assert 0.0 <= probe[0] <= 10.0
         assert np.isfinite(f_new)
 
@@ -559,6 +561,17 @@ class _JumpFromStep3(_QuadProblem):
         return super().f0(x) + (1.0 if self.grad_calls > 3 else 0.0)
 
 
+class _NegatedFromStep3(_JumpFromStep3):
+    """The gradient of state 3 on points uphill; ``f0`` is right."""
+
+    def grad_f0(self, x):
+        grad = super().grad_f0(x)
+        return -grad if self.grad_calls > 3 else grad
+
+    def f0(self, x):
+        return _QuadProblem.f0(self, x)
+
+
 class TestFailuresNameTheOuterIteration:
     def test_linesearch_error(self):
         config = SolverConfig(alpha_max=0.1, stop_tol=0.0)
@@ -567,6 +580,18 @@ class TestFailuresNameTheOuterIteration:
         assert ei.value.k == 3
         assert str(ei.value).startswith("outer iteration 3: no sufficient decrease")
         assert len(ei.value.probes) == 61
+
+    def test_wrong_gradient_does_not_end_quietly(self):
+        # The merit value promises a decrease, so backtracking goes on until
+        # the probe rounds to the iterate and passes the test with equality.
+        with pytest.raises(LinesearchError) as ei:
+            minimize(_NegatedFromStep3(), SolverConfig(alpha_max=0.1),
+                     np.array([1.0, -2.0]))
+        assert ei.value.k == 3
+        assert str(ei.value) == ("outer iteration 3: probe 50 at lam=1.776e-15 "
+                                 "rounds to the iterate although "
+                                 "h_gamma=-6.993e-02")
+        assert [lam for lam, _ in ei.value.probes] == [0.5**i for i in range(50)]
 
     def test_inexact_prox_error(self):
         shape = (16, 16)

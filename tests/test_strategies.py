@@ -239,27 +239,26 @@ class TestRitzSteplengths:
         assert ritz_steplengths(hist, metric, np.zeros(4)) is None
 
     def test_strategy_fallback_and_queue(self):
-        strat = RitzSteplengthStrategy(window=2)
+        strat = RitzSteplengthStrategy()
         p = _Stub()
         p.kind = "quad"
         p.active_mask = lambda x: np.zeros_like(x, dtype=bool)
-        metric = DiagonalMetric.identity(3, 1e10)
-        Q = np.diag([1.0, 2.0, 4.0])
-        x = np.array([1.0, 1.0, 1.0])
-        # first call: no history -> alpha0 = 1
-        a0 = strat.choose(x, Q @ x, metric, p)
-        assert a0 == 1.0
-        strat.update(x, Q @ x, metric, a0, p)
-        x = x - a0 * Q @ x
-        a1 = strat.choose(x, Q @ x, metric, p)  # BB fallback until window full
-        strat.update(x, Q @ x, metric, a1, p)
-        x = x - a1 * Q @ x
-        a2 = strat.choose(x, Q @ x, metric, p)  # window now full: Ritz queue
-        assert strat.queue  # one value left queued
+        metric = DiagonalMetric.identity(4, 1e10)
+        Q = np.diag([1.0, 2.0, 4.0, 8.0])
+        x = np.array([1.0, 1.0, 1.0, 1.0])
+        # first call: no history -> alpha0 = 1; then BB until the window fills
+        chosen = []
+        for _ in range(RITZ_WINDOW):
+            chosen.append(strat.choose(x, Q @ x, metric, p))
+            strat.update(x, Q @ x, metric, chosen[-1], p)
+            x = x - chosen[-1] * Q @ x
+        assert chosen[0] == 1.0 and not strat.queue
+        a3 = strat.choose(x, Q @ x, metric, p)  # window now full: Ritz queue
+        assert strat.queue  # values left queued
         eigs_remaining = 1.0 / np.array(strat.queue)
         assert np.all(eigs_remaining >= 1.0 - 1e-6)
-        assert np.all(eigs_remaining <= 4.0 + 1e-6)
-        assert 1.0 / a2 >= eigs_remaining.max() - 1e-9  # smallest step first
+        assert np.all(eigs_remaining <= 8.0 + 1e-6)
+        assert 1.0 / a3 >= eigs_remaining.max() - 1e-9  # smallest step first
 
 
 def _scipy_ritz_steplengths(history, metric, reduced_grad):
@@ -527,8 +526,8 @@ def test_every_default_ritz_window_is_the_same(monkeypatch):
     built = []
 
     class Recorded(RitzSteplengthStrategy):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self):
+            super().__init__()
             built.append(self)
 
     monkeypatch.setitem(STEPLENGTH_STRATEGIES, "ritz", Recorded)
@@ -538,7 +537,7 @@ def test_every_default_ritz_window_is_the_same(monkeypatch):
     assert windows == [RITZ_WINDOW] * 2 == [3] * 2
 
 
-def test_ritz_instance_sets_the_window(monkeypatch):
+def test_every_ritz_solve_passes_full_windows(monkeypatch):
     windows = []
     ritz = vmprox.strategies.ritz_steplengths
 
@@ -548,9 +547,10 @@ def test_ritz_instance_sets_the_window(monkeypatch):
 
     monkeypatch.setattr(vmprox.strategies, "ritz_steplengths", recorded)
     cfg = SolverConfig(max_outer_iters=12, stop_tol=0.0)
-    minimize(_QuadProblem(4, c=np.array([1.0, 2.0, 4.0, 8.0])), cfg,
-             np.ones(4), steplength=RitzSteplengthStrategy(2))
-    assert windows and set(windows) == {2}
+    for steplength in ("ritz", RitzSteplengthStrategy()):
+        minimize(_QuadProblem(4, c=np.array([1.0, 2.0, 4.0, 8.0])), cfg,
+                 np.ones(4), steplength=steplength)
+    assert windows and set(windows) == {RITZ_WINDOW}
 
 
 def test_ritz_consumed_smallest_first():
@@ -569,7 +569,7 @@ def test_ritz_consumed_smallest_first():
     assert steps is not None and len(steps) >= 2
 
     def drain():
-        strat = RitzSteplengthStrategy(window=3)
+        strat = RitzSteplengthStrategy()
         strat.history.extend(hist)
         p = _Stub()
         p.active_mask = lambda v: np.zeros_like(v, dtype=bool)
@@ -593,7 +593,7 @@ def test_all_emitted_steplengths_clamped():
                        max_outer_iters=8, stop_tol=0.0)
     res = minimize(_QuadProblem(2, c=np.array([3.0, 1.0])), cfg,
                    rng.standard_normal(2),
-                   metric="identity", steplength=Recorded(window=2))
+                   metric="identity", steplength=Recorded())
     assert len(res.trace) == 8
     assert max(proposed) > 0.4  # alpha_0 = 1 is proposed and clamped
     for rec in res.trace:
