@@ -8,6 +8,8 @@ sparse matrix, which the compression problem factors.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import scipy.sparse
 from scipy.fft._pocketfft import pypocketfft
@@ -19,6 +21,11 @@ __all__ = [
     "isotropic_tv",
     "laplacian",
 ]
+
+
+# The transfer-function pairs of live ConvOperator2Ds, by (PSF bytes, PSF
+# shape, grid).  They are read-only, so any thread may share one.
+_TRANSFER = weakref.WeakValueDictionary()
 
 
 class ConvOperator2D:
@@ -38,6 +45,11 @@ class ConvOperator2D:
     skips the wrappers' dispatch, shape checks and environment read, which
     cost more than the transform on small grids, and lets the product work
     in the forward transform's output.  Each transform runs on one worker.
+
+    The transfer function and its conjugate are the two rows of one
+    read-only ``(2, h, w // 2 + 1)`` array.  Operators of the same PSF bytes
+    and grid share it through a table of weak references, so it lives
+    exactly as long as some operator holds it.
     """
 
     def __init__(self, psf, shape):
@@ -55,11 +67,25 @@ class ConvOperator2D:
             raise ValueError("psf larger than image grid")
         self.shape = (h, w)
         self.n_in = self.n_out = h * w
-        embedded = np.zeros(shape)
-        embedded[:kh, :kw] = psf / total
-        embedded = np.roll(embedded, (-(kh // 2), -(kw // 2)), axis=(0, 1))
-        self._otf = pypocketfft.r2c(embedded, (0, 1), True, 0, None, 1)
-        self._otf_conj = np.conj(self._otf)
+        key = (psf.tobytes(), psf.shape, self.shape)
+        pair = _TRANSFER.get(key)
+        if pair is None:
+            # The kernel centred on pixel (0, 0), wrapping round the edges:
+            # the four quadrants of ``np.roll`` of the corner-placed kernel,
+            # written directly, which costs a third as much.
+            kernel = psf / total
+            r, c = kh // 2, kw // 2
+            embedded = np.zeros(shape)
+            embedded[:kh - r, :kw - c] = kernel[r:, c:]
+            embedded[:kh - r, w - c:] = kernel[r:, :c]
+            embedded[h - r:, :kw - c] = kernel[:r, c:]
+            embedded[h - r:, w - c:] = kernel[:r, :c]
+            pair = np.empty((2, h, w // 2 + 1), dtype=complex)
+            pypocketfft.r2c(embedded, (0, 1), True, 0, pair[0], 1)
+            np.conjugate(pair[0], out=pair[1])
+            pair.flags.writeable = False
+            _TRANSFER[key] = pair
+        self._otf, self._otf_conj = pair  # views, which keep ``pair`` alive
 
     def norm_sq_bound(self):
         """``max |otf|^2``, the exact ``||H||^2`` of a circulant.  The half

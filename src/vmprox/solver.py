@@ -9,7 +9,10 @@ linesearch point has the smaller objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -21,6 +24,7 @@ __all__ = [
     "SolverConfig",
     "IterateState",
     "IterateRecord",
+    "Trace",
     "SolveResult",
     "SolverError",
     "LinesearchError",
@@ -133,10 +137,65 @@ class IterateRecord:
     y_tilde: np.ndarray | None = field(default=None, repr=False)
 
 
+# One column per scalar field of IterateRecord, in field order.
+_COLUMN_TYPES = {"float": np.float64, "int": np.int64, "bool": np.bool_}
+_TRACE_DTYPE = np.dtype([(f.name, _COLUMN_TYPES[f.type])
+                        for f in fields(IterateRecord) if f.name != "y_tilde"])
+_row_of = operator.attrgetter(*_TRACE_DTYPE.names)
+
+
+class Trace(Sequence):
+    """The records of one solve, stored as columns.
+
+    ``rows`` is a read-only structured array with one row per record and
+    one float64, int64 or bool column per scalar field of
+    :class:`IterateRecord`, in field order: 113 bytes a row, where a record
+    object with its boxed floats takes about 320.  Indexing and
+    iteration build :class:`IterateRecord` objects whose fields read back
+    bit for bit, as Python floats, ints and bools; a slice is a list of
+    them.  The prox points are kept, as a list, only when some record
+    carries one.  A trace compares equal to a list of the same records.
+    """
+
+    __slots__ = ("rows", "_y_tilde")
+
+    def __init__(self, records):
+        records = list(records)
+        self.rows = np.array([_row_of(r) for r in records], dtype=_TRACE_DTYPE)
+        self.rows.flags.writeable = False
+        points = [r.y_tilde for r in records]
+        self._y_tilde = points if any(y is not None for y in points) else None
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        point = None if self._y_tilde is None else self._y_tilde[index]
+        return IterateRecord(*self.rows[index].item(), y_tilde=point)
+
+    def __iter__(self):
+        points = repeat(None) if self._y_tilde is None else self._y_tilde
+        for row, point in zip(self.rows.tolist(), points):
+            yield IterateRecord(*row, y_tilde=point)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Trace)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self):
+        return f"Trace({list(self)!r})"
+
+
 @dataclass
 class SolveResult:
+    """The final iterate ``x`` and the :class:`Trace` of the iterations
+    that produced it, one record per outer iteration."""
+
     x: np.ndarray
-    trace: list
+    trace: Trace
 
 
 def armijo_backtrack(state, y_tilde, h_gamma_tilde, f1_tilde, problem, config):
@@ -279,7 +338,8 @@ def minimize(problem, config, x0, metric="identity", steplength="bb",
     steplength strategy a steplength, and :func:`solver_step` clamps both.
     Stops after ``config.max_outer_iters`` iterations or when
     the relative step norm drops to ``config.stop_tol``.  Returns a
-    :class:`SolveResult` whose trace has one record per iteration performed.
+    :class:`SolveResult` whose :class:`Trace` has one record per iteration
+    performed.
     An :class:`InexactProxError` or :class:`LinesearchError` leaves with the
     failing outer iteration as its ``k`` and at the head of its message.
     The per-run state of the problem and of both strategies is cleared when
@@ -314,4 +374,4 @@ def minimize(problem, config, x0, metric="identity", steplength="bb",
     finally:
         for part in (problem, metric, steplength):  # even after a failure
             part.reset()
-    return SolveResult(x=state.x, trace=trace)
+    return SolveResult(x=state.x, trace=Trace(trace))

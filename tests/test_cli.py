@@ -16,7 +16,9 @@ from vmprox.problems import (
     degrade_synthetic,
 )
 from vmprox.prox import InexactProxError
-from vmprox.solver import IterateRecord, SolverConfig, minimize
+from vmprox.solver import IterateRecord, SolverConfig, Trace, minimize
+
+from test_solver import _edge_records
 
 TOY_CONFIG = """\
 problem:
@@ -715,6 +717,22 @@ class TestTraceFormat:
                     assert type(read) is float and read.hex() == value.hex(), name
                 else:
                     assert type(read) is int and read == value, name
+
+    def test_columnar_trace_writes_the_bytes_of_its_records(self, tmp_path):
+        shape = (16, 16)
+        H = ConvOperator2D(gaussian_psf(9, 1.0), shape)
+        observed = np.clip(degrade_synthetic(cartoon_image(shape), H, "cauchy",
+                                             seed=5), 0.0, 1.0)
+        result = minimize(CauchyDeblurProblem(H, observed, shape),
+                          SolverConfig(max_outer_iters=8, stop_tol=0.0),
+                          np.maximum(observed, 1e-3), metric="sg", steplength="ritz")
+        edge = _edge_records()
+        for name, records in (("solve", list(result.trace)), ("edge", edge)):
+            cli.write_trace(tmp_path / f"{name}_columns.csv", Trace(records))
+            cli.write_trace(tmp_path / f"{name}_records.csv", records)
+            columns = (tmp_path / f"{name}_columns.csv").read_bytes()
+            assert columns == (tmp_path / f"{name}_records.csv").read_bytes()
+        assert b",-inf," in columns and b",nan," in columns and b",-0.0," in columns
 
     @pytest.mark.parametrize("rows, message", [
         (["0,1.0,2.0"], "line 4 has 3 fields, the header 15"),

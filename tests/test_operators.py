@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vmprox
+from vmprox import operators
 from vmprox.diagnostics import adjoint_max_residual
 from vmprox.operators import (
     ConvOperator2D,
@@ -62,6 +65,35 @@ def test_conv_rejects_bad_kernels():
         ConvOperator2D(-np.ones((3, 3)), (8, 8))
     with pytest.raises(ValueError):
         ConvOperator2D(np.ones((9, 9)), (4, 4))
+
+
+def test_equal_blurs_share_one_read_only_transfer_function():
+    psf = np.random.default_rng(11).uniform(0.0, 1.0, (3, 5))
+    a = ConvOperator2D(psf, (8, 10))
+    b = ConvOperator2D(psf.copy(), (8, 10))
+    pair = a._otf.base
+    assert pair.shape == (2, 8, 6) and not pair.flags.writeable
+    assert b._otf.base is pair and b._otf_conj.base is pair
+    assert np.shares_memory(a._otf, b._otf)
+    assert np.shares_memory(a._otf_conj, pair[1])
+    np.testing.assert_array_equal(pair[1], np.conj(pair[0]))
+    for other in (ConvOperator2D(psf[::-1], (8, 10)),
+                  ConvOperator2D(psf, (10, 8)), ConvOperator2D(psf, (8, 12))):
+        assert not np.shares_memory(other._otf, pair)
+    for otf in (a._otf, a._otf_conj):
+        with pytest.raises(ValueError):
+            otf[0, 0] = 0.0
+    entries = len(operators._TRANSFER)
+    alive = weakref.ref(pair)
+    del pair, otf, a
+    gc.collect()
+    assert alive() is not None and len(operators._TRANSFER) == entries
+    del b
+    gc.collect()
+    assert alive() is None and len(operators._TRANSFER) == entries - 1
+    again = ConvOperator2D(psf, (8, 10))
+    assert len(operators._TRANSFER) == entries
+    np.testing.assert_array_equal(again._otf, scipy.fft.rfft2(_embedded(psf, (8, 10))))
 
 
 def _dense_conv(psf, shape):
@@ -131,6 +163,19 @@ def test_conv_matches_scipy_fft_path_bitwise(shape):
                          (op.adjoint(x), np.conj(op._otf))):
             np.testing.assert_array_equal(
                 got.view(np.int64), _scipy_fft_filter(op, x, otf).view(np.int64))
+
+
+@pytest.mark.parametrize("side, shape", [
+    ((1, 1), (1, 1)), ((1, 7), (3, 7)), ((7, 1), (7, 2)), ((3, 5), (3, 5)),
+    ((9, 3), (10, 4)), ((5, 9), (12, 16))])
+def test_conv_embeds_the_kernel_as_rolled_bitwise(side, shape):
+    # Kernels as large as the grid, one pixel wide or not square: every
+    # quadrant of the wrapped embedding is empty, full or partial somewhere.
+    psf = np.random.default_rng(side[0] * 10 + side[1]).uniform(0.0, 1.0, side)
+    op = ConvOperator2D(psf, shape)
+    np.testing.assert_array_equal(
+        op._otf.view(np.int64),
+        scipy.fft.rfft2(_embedded(psf, shape)).view(np.int64))
 
 
 @pytest.mark.parametrize("shape", [(7, 9), (9, 7), (5, 8), (1, 5), (5, 1),

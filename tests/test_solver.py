@@ -1,6 +1,8 @@
 import gc
+import math
+import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 import scipy.sparse.linalg
 
 from vmprox import prox as prox_module
+from vmprox import solver as solver_module
 from vmprox.config import build_problem, load_experiment
 from vmprox.diagnostics import audit_trace
 from vmprox.operators import ConvOperator2D, gaussian_psf
@@ -24,9 +27,11 @@ from vmprox.problems import (
 from vmprox.prox import BoxProx, InexactProxError
 from vmprox.solver import (
     LAM_MIN,
+    IterateRecord,
     IterateState,
     LinesearchError,
     SolverConfig,
+    Trace,
     armijo_backtrack,
     minimize,
 )
@@ -624,10 +629,11 @@ class TestFailuresNameTheOuterIteration:
 
 
 # Memory a finished 150-iteration 32x32 Cauchy solve keeps (tracemalloc,
-# Python 3.11, numpy 2.4): nearly all of it is the 150 trace records.  The
-# margin is less than one more retained 32x32 float64 raster (8,304 bytes
-# with its header), so a solve that keeps a raster of scratch state fails.
-_RETAINED_BEFORE_FLAT_RUNS = 78_376
+# Python 3.11, numpy 2.4): the trace's 150 rows of 113 bytes and ``x``.
+# The margin is less than one more retained 32x32 float64 raster (8,304
+# bytes with its header), so a solve that keeps a raster of scratch state
+# fails.
+_RETAINED_COLUMNAR_TRACE = 26_175
 _RETAINED_MARGIN = 8_000
 
 
@@ -664,4 +670,144 @@ def test_finished_solve_retains_no_scratch_state():
     finally:
         tracemalloc.stop()
     assert len(result.trace) == 150
-    assert retained <= _RETAINED_BEFORE_FLAT_RUNS + _RETAINED_MARGIN
+    assert retained <= _RETAINED_COLUMNAR_TRACE + _RETAINED_MARGIN
+
+
+# The scalar fields of IterateRecord, in order, and the column type of each.
+_SCALAR_FIELDS = [f for f in fields(IterateRecord) if f.name != "y_tilde"]
+_COLUMN_TYPES = {"float": np.float64, "int": np.int64, "bool": np.bool_}
+
+
+def _bits(record):
+    """Each scalar field as its type and value, floats as their eight bytes."""
+    return tuple((type(value), struct.pack("<d", value) if isinstance(value, float)
+                  else value)
+                 for value in (getattr(record, f.name) for f in _SCALAR_FIELDS))
+
+
+def _edge_records():
+    """Records whose fields hold infinities, NaNs (one with a payload),
+    signed zeros, the smallest subnormal and the int64 extremes."""
+    payload_nan = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_0123))[0]
+    floats = [math.inf, -math.inf, math.nan, payload_nan, -0.0, 0.0, 5e-324,
+              -1.7976931348623157e308, 1.0 / 3.0]
+    ints = [0, -1, 2**63 - 1, -(2**63), 7]
+    records = []
+    for k in range(len(floats)):
+        values = {}
+        for j, f in enumerate(_SCALAR_FIELDS):
+            if f.type == "float":
+                values[f.name] = floats[(k + j) % len(floats)]
+            elif f.type == "int":
+                values[f.name] = ints[(k + j) % len(ints)]
+            else:
+                values[f.name] = k % 2 == 1
+        records.append(IterateRecord(**values))
+    return records
+
+
+class TestColumnarTrace:
+    def test_edge_values_read_back_bit_for_bit(self):
+        records = _edge_records()
+        trace = Trace(records)
+        assert len(trace) == len(records)
+        by_index = [trace[i] for i in range(len(trace))]
+        by_negative_index = [trace[i - len(trace)] for i in range(len(trace))]
+        for got in (list(trace), by_index, by_negative_index, trace[:]):
+            assert [_bits(r) for r in got] == [_bits(r) for r in records]
+        assert all(r.y_tilde is None for r in trace)
+
+    def test_solve_trace_holds_every_step_record_in_typed_columns(self, monkeypatch):
+        produced = []
+        step = solver_module.solver_step
+
+        def recording_step(*args, **kwargs):
+            state, record = step(*args, **kwargs)
+            produced.append(record)
+            return state, record
+
+        monkeypatch.setattr(solver_module, "solver_step", recording_step)
+        shape = (8, 8)
+        H = ConvOperator2D(gaussian_psf(7, 1.0), shape)
+        g = np.clip(degrade_synthetic(cartoon_image(shape), H, "cauchy",
+                                      seed=8), 0.0, 1.0)
+        res = minimize(CauchyDeblurProblem(H, g, shape),
+                       SolverConfig(max_outer_iters=30, stop_tol=0.0),
+                       np.maximum(g, 1e-3), metric="sg", steplength="ritz")
+        assert isinstance(res.trace, Trace) and len(produced) == 30
+        rows = res.trace.rows
+        assert rows.dtype.names == tuple(f.name for f in _SCALAR_FIELDS)
+        assert [rows.dtype[f.name] for f in _SCALAR_FIELDS] == \
+            [np.dtype(_COLUMN_TYPES[f.type]) for f in _SCALAR_FIELDS]
+        assert [_bits(r) for r in res.trace] == [_bits(r) for r in produced]
+        assert res.trace == produced
+
+    def test_behaves_as_the_list_of_records_it_replaces(self):
+        p = Toy1DBoxProblem()
+        cfg = SolverConfig(max_outer_iters=6, stop_tol=0.0)
+        res = minimize(p, cfg, np.array([0.0]))
+        trace = res.trace
+        records = list(trace)
+        assert isinstance(trace, Trace) and len(trace) == 6 and trace
+        assert trace == records and records == trace and trace == Trace(records)
+        assert trace != records[:-1] and trace != tuple(records)
+        for part in (slice(1, 3), slice(None, None, -2), slice(4, 100),
+                     slice(3, 3)):
+            assert type(trace[part]) is list and trace[part] == records[part]
+        assert trace[-1] == records[-1] and records[2] in trace
+        with pytest.raises(IndexError):
+            trace[6]
+        with pytest.raises(TypeError):
+            trace[0] = records[1]
+        assert not trace.rows.flags.writeable
+        with pytest.raises(ValueError):
+            trace.rows["alpha"][0] = 0.0
+        assert all(r.y_tilde is None for r in trace)
+
+        empty = minimize(p, SolverConfig(max_outer_iters=0), np.array([0.0])).trace
+        assert isinstance(empty, Trace) and not empty and len(empty) == 0
+        assert empty == [] and [] == empty and empty[:] == [] and list(empty) == []
+
+    def test_toy1d_keeps_its_prox_points_only_when_asked(self):
+        p = Toy1DBoxProblem()
+        cfg = SolverConfig(max_outer_iters=4, stop_tol=0.0)
+        kept = minimize(p, cfg, np.array([0.0]), retain_prox_points=True).trace
+        assert isinstance(kept, Trace) and len(kept) == 4
+        first = kept[0].y_tilde
+        assert isinstance(first, np.ndarray) and first[0] == 2.0
+        assert kept[0].y_tilde is first and next(iter(kept)).y_tilde is first
+        assert all(isinstance(r.y_tilde, np.ndarray) for r in kept)
+        plain = minimize(p, cfg, np.array([0.0])).trace
+        assert [_bits(r) for r in plain] == [_bits(r) for r in kept]
+        assert all(r.y_tilde is None for r in plain)
+
+
+def test_trace_rows_cost_at_most_128_bytes():
+    # The structured rows take 113 bytes each, so a list of IterateRecords,
+    # about 320 bytes each with their boxed floats, fails.
+    shape = (32, 32)
+    H = ConvOperator2D(gaussian_psf(9, 1.0), shape)
+    g = np.clip(degrade_synthetic(cartoon_image(shape), H, "cauchy", seed=3),
+                0.0, 1.0)
+    problem = CauchyDeblurProblem(H, g, shape)
+    x0 = np.maximum(g, 1e-3)
+    config = SolverConfig(max_outer_iters=150)
+
+    def solve():
+        return minimize(problem, config, x0, metric="sg", steplength="ritz")
+
+    solve()  # fills FFT plan and import caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = solve()
+        trace = result.trace
+        del result
+        gc.collect()
+        with_trace = tracemalloc.get_traced_memory()[0]
+        del trace
+        gc.collect()
+        freed = with_trace - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed / 150 <= 128

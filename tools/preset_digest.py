@@ -7,7 +7,7 @@ trace CSV, the reconstruction image (when the preset writes one), the
 solution ``x`` as float64 bytes and the JSON summary less ``wall_time_s``.
 Then it prints the digests of the trace CSV and of ``x`` for each of the
 eight seed-1 solves of the ``cauchy_batch_32`` benchmark workload, built
-as ``CauchyBatchWorkload`` in ``vmbench/run.py`` builds them.  A refactor
+by the builder that ``tools/ab_time.py --batch`` times them with.  A refactor
 that is meant to leave every output byte-identical prints the same lines
 before and after; ``--against`` makes that check one command.
 
@@ -39,8 +39,7 @@ import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
-import numpy as np
-from ab_time import load_package
+from ab_time import BATCH_NOISE_SEEDS, batch_problem, batch_solve, load_package
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -90,17 +89,10 @@ def preset_lines(cli, preset, workdir):
 
 def batch_lines(vp, cli, workdir):
     """Digests of the eight ``cauchy_batch_32`` solves at benchmark seed 1."""
-    shape = (32, 32)
     lines = []
-    for j, state in enumerate(np.random.SeedSequence(1).generate_state(8)):
-        H = vp.ConvOperator2D(vp.gaussian_psf(9, 1.0), shape)
-        truth = vp.cartoon_image(shape)
-        observed = np.clip(
-            vp.degrade_synthetic(truth, H, "cauchy", seed=int(state)), 0.0, 1.0)
-        problem = vp.CauchyDeblurProblem(H, observed, shape)
-        result = vp.minimize(problem, vp.SolverConfig(max_outer_iters=150),
-                             np.maximum(observed, 1e-3), metric="sg",
-                             steplength="ritz")
+    for j, noise_seed in enumerate(BATCH_NOISE_SEEDS):
+        problem, _, observed = batch_problem(vp, noise_seed)
+        result = batch_solve(vp, problem, observed)
         trace = workdir / f"batch_{j}.csv"
         cli.write_trace(trace, result.trace)
         lines.append((f"cauchy_batch_32[{j}]", "trace", digest(trace.read_bytes())))
