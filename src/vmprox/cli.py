@@ -31,7 +31,7 @@ from .problems import (
     smooth_image,
 )
 from .prox import BoxProx, DualTVProx, InexactProxError, TVNonnegRegularizer, exact_prox_box
-from .solver import IterateRecord, SolverConfig, SolverError, minimize
+from .solver import TRACE_DTYPE, SolverConfig, SolverError, Trace, minimize
 from .strategies import DiagonalMetric
 
 EXIT_OK = 0
@@ -41,27 +41,19 @@ EXIT_SOLVER = 4
 EXIT_CHECK = 5
 
 TRACE_VERSION = "vmprox-trace-v1"
-# (column, IterateRecord attribute, type) per scalar field of the record, in its
-# order (``lam`` as ``lambda``); ints and bools are written as integers, floats
-# through ``repr`` so they read back exactly.  TRACE_VERSION follows the record.
-TRACE_FIELDS = tuple(("lambda" if f.name == "lam" else f.name, f.name,
-                      float if f.type == "float" else int)
-                     for f in dataclasses.fields(IterateRecord) if f.name != "y_tilde")
-TRACE_COLUMNS = tuple(column for column, _, _ in TRACE_FIELDS)
-_TRACE_TYPES = {column: kind for column, _, kind in TRACE_FIELDS}
-
-
-def _fmt(value, kind):
-    return str(int(value)) if kind is int else repr(float(value))
+# The columns of a trace's rows, in their order (``lam`` as ``lambda``); ints
+# and bools are written as integers, floats through ``repr`` so they read back
+# exactly.  TRACE_VERSION follows the rows.
+TRACE_COLUMNS = tuple("lambda" if name == "lam" else name for name in TRACE_DTYPE.names)
 
 
 def write_trace(path, trace):
-    """Headered CSV, one row per outer iteration, stable column set."""
+    """Headered CSV, one row per outer iteration, stable column set; a list
+    of records is packed into a :class:`Trace` first."""
+    trace = trace if isinstance(trace, Trace) else Trace(trace)
     lines = [f"# {TRACE_VERSION}", ",".join(TRACE_COLUMNS)]
-    for r in trace:
-        lines.append(
-            ",".join(_fmt(getattr(r, attr), kind) for _, attr, kind in TRACE_FIELDS)
-        )
+    for row in trace.rows.tolist():
+        lines.append(",".join(repr(v) if type(v) is float else str(int(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -74,13 +66,15 @@ def read_trace(path):
     if len(lines) < 2:
         raise ValueError(f"{path}: no header line")
     header = lines[1].split(",")
+    types = {column: float if TRACE_DTYPE[i].kind == "f" else int
+             for i, column in enumerate(TRACE_COLUMNS)}
     rows = []
     for number, line in enumerate(lines[2:], start=3):
         parts = line.split(",")
         if len(parts) != len(header):
             raise ValueError(f"{path}: line {number} has {len(parts)} fields, "
                              f"the header {len(header)}")
-        rows.append({name: _TRACE_TYPES.get(name, float)(text)
+        rows.append({name: types.get(name, float)(text)
                      for name, text in zip(header, parts)})
     return rows
 
@@ -95,7 +89,7 @@ def _solve_summary(cfg, problem, result, x_true, observed, wall_time, report):
         "iterations": len(trace),
         "final_f": trace[-1].f_next if trace else None,
         "mean_inner_iters": (
-            float(np.mean([r.inner_iters for r in trace])) if trace else None
+            float(np.mean(trace.rows["inner_iters"])) if trace else None
         ),
         "wall_time_s": wall_time,
         "psnr_degraded": None,

@@ -59,6 +59,8 @@ class ConvOperator2D:
         if np.any(psf < 0):
             raise ValueError("psf entries must be nonnegative")
         total = psf.sum()
+        if not total < np.inf:  # a NaN or infinite entry
+            raise ValueError("psf entries must be finite")
         if total <= 0:
             raise ValueError("psf must have positive mass")
         h, w = shape
@@ -217,6 +219,8 @@ def gaussian_psf(size, sigma):
         raise ValueError(f"psf_size must be odd and positive, got {size}")
     if not sigma > 0:
         raise ValueError(f"psf_sigma must be positive, got {sigma}")
+    if sigma == np.inf:
+        raise ValueError(f"psf_sigma must be finite, got {sigma}")
     r = (size - 1) / 2.0
     yy, xx = np.ogrid[-r:r + 1, -r:r + 1]
     k = np.exp(-(xx**2 + yy**2) / (2.0 * sigma**2))

@@ -93,6 +93,8 @@ def project_dual_tv(v, rho, n):
     v = np.asarray(v, dtype=float)
     if v.shape != (3 * n,):
         raise ValueError(f"dual vector must have length {3 * n}")
+    if not 0 <= rho < np.inf:
+        raise ValueError("rho must be nonnegative and finite")
     return _project_dual_tv_in_place(v.copy(), rho, n, np.empty((2, n)))
 
 

@@ -139,9 +139,9 @@ class IterateRecord:
 
 # One column per scalar field of IterateRecord, in field order.
 _COLUMN_TYPES = {"float": np.float64, "int": np.int64, "bool": np.bool_}
-_TRACE_DTYPE = np.dtype([(f.name, _COLUMN_TYPES[f.type])
+TRACE_DTYPE = np.dtype([(f.name, _COLUMN_TYPES[f.type])
                         for f in fields(IterateRecord) if f.name != "y_tilde"])
-_row_of = operator.attrgetter(*_TRACE_DTYPE.names)
+_row_of = operator.attrgetter(*TRACE_DTYPE.names)
 
 
 class Trace(Sequence):
@@ -161,7 +161,7 @@ class Trace(Sequence):
 
     def __init__(self, records):
         records = list(records)
-        self.rows = np.array([_row_of(r) for r in records], dtype=_TRACE_DTYPE)
+        self.rows = np.array([_row_of(r) for r in records], dtype=TRACE_DTYPE)
         self.rows.flags.writeable = False
         points = [r.y_tilde for r in records]
         self._y_tilde = points if any(y is not None for y in points) else None

@@ -282,6 +282,7 @@ class TestSolve:
         ("kind: cauchy\n  lambda_reg: .inf", "lambda_reg must be finite"),
         ("kind: cauchy\n  psf_sigma: 0.0", "psf_sigma must be positive, got 0.0"),
         ("kind: cauchy\n  psf_sigma: -1.0", "psf_sigma must be positive, got -1.0"),
+        ("kind: cauchy\n  psf_sigma: .inf", "psf_sigma must be finite, got inf"),
         ("kind: gaussian_sd\n  psf_size: 4",
          "psf_size must be odd and positive, got 4"),
         ("kind: compression\n  box_upper: -1.0", "box_upper must be positive"),
@@ -291,7 +292,7 @@ class TestSolve:
         ("kind: cauchy\n  gamma_noise: .inf",
          "gamma_noise must be positive and finite"),
     ], ids=["lambda-negative", "lambda-zero", "lambda-inf", "sigma-zero",
-            "sigma-negative", "psf-size-even", "box-upper-negative", "rho-nan",
+            "sigma-negative", "sigma-inf", "psf-size-even", "box-upper-negative", "rho-nan",
             "compression-lambda-nan", "a-nan", "gamma-inf"])
     def test_model_value_out_of_range_names_its_key(self, tmp_path, capsys,
                                                     recwarn, problem, message):

@@ -43,6 +43,11 @@ def test_gaussian_psf_rejects_a_nonpositive_sigma(sigma):
         gaussian_psf(7, sigma)
 
 
+def test_gaussian_psf_rejects_an_infinite_sigma():
+    with pytest.raises(ValueError, match="^psf_sigma must be finite, got inf$"):
+        gaussian_psf(7, float("inf"))
+
+
 def test_conv_delta_kernel_is_identity():
     delta = np.zeros((5, 5))
     delta[2, 2] = 1.0
@@ -65,6 +70,14 @@ def test_conv_rejects_bad_kernels():
         ConvOperator2D(-np.ones((3, 3)), (8, 8))
     with pytest.raises(ValueError):
         ConvOperator2D(np.ones((9, 9)), (4, 4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_conv_rejects_a_non_finite_kernel_entry(bad):
+    psf = gaussian_psf(5, 1.0)
+    psf[1, 2] = bad
+    with pytest.raises(ValueError, match="^psf entries must be finite$"):
+        ConvOperator2D(psf, (8, 8))
 
 
 def test_equal_blurs_share_one_read_only_transfer_function():

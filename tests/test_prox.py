@@ -99,6 +99,11 @@ class TestProjectDualTV:
         np.testing.assert_array_equal(out[:8], 0.0)
         np.testing.assert_array_equal(out[8:], np.minimum(v[8:], 0.0))
 
+    @pytest.mark.parametrize("rho", [-1.0, np.inf, np.nan])
+    def test_rejects_a_negative_or_non_finite_radius(self, rho):
+        with pytest.raises(ValueError, match="^rho must be nonnegative and finite$"):
+            project_dual_tv(np.ones(3), rho, 1)
+
 
 def _hypot_projection(v, rho, n):
     """The projection with ``np.hypot`` norms, the exact reference

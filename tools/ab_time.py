@@ -12,18 +12,20 @@ Given a preset, a pair solves it once per side, and the tool also prints
 each side's mean inner (dual) iterations per outer step.  ``--seed``
 replaces the preset's noise seed on both sides, so a change that moves bits
 can be timed over several noise draws.  With ``--batch`` instead, a pair
-side is the eight solves of the benchmark's ``cauchy_batch_32`` workload at
-seed 1, and its time is their sum.  Each side keeps every solve (problem,
-truth, observed data and result), as ``vmbench/run.py`` keeps them, and the
-tool prints the bytes that one more kept solve holds (tracemalloc, the mean
-over eight solves, measured after the timed pairs).
+side is one run of the benchmark's own ``cauchy_batch_32`` workload
+(``CauchyBatchWorkload`` of ``vmbench/run.py``, at seed 1), which builds,
+solves and audits its eight problems in turn, and its time is the sum of
+their ``solve_s``.  Each side keeps every ``Solve``, as ``vmbench/run.py``
+keeps them, and the tool prints the bytes that one more kept solve holds
+(tracemalloc, the mean over the batch, measured after the timed pairs).
 
 Before any solve, it times the set-up: 40 rounds, the side that runs first
-alternating, each timing 15 set-ups per side: ``load_experiment`` plus
-``build_problem`` for a preset, the eight problems for ``--batch``.  It
-prints each side's median of its round medians and how many rounds each
-side won.  A set-up takes about a millisecond, and its process-level median
-can shift by a quarter between processes with no set-up code changed.
+alternating, each timing as many set-ups per side as vmbench's ``setup_s``
+does: ``load_experiment`` plus ``build_problem`` for a preset, the
+workload's ``setup`` for ``--batch``.  It prints each side's median of its
+round medians and how many rounds each side won.  A set-up takes about a
+millisecond, and its process-level median can shift by a quarter between
+processes with no set-up code changed.
 
 Process-level pairs on a shared machine spread by several percent, so a
 difference of a few percent needs many of them.  Alternating in one process
@@ -57,38 +59,17 @@ import time
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "vmbench"))
+import run  # noqa: E402  (the benchmark's workloads)
+
 SETUP_ROUNDS = 40
-SETUP_CALLS = 15  # set-ups timed per side and round
-
-# The benchmark's cauchy_batch_32 workload, as CauchyBatchWorkload in
-# vmbench/run.py runs it at seed 1.
-BATCH_SHAPE = (32, 32)
-BATCH_ITERS = 150
-BATCH_NOISE_SEEDS = [int(s) for s in np.random.SeedSequence(1).generate_state(8)]
-
-
-def batch_problem(vp, noise_seed):
-    """``(problem, truth, observed)`` of one ``cauchy_batch_32`` solve of the
-    package ``vp``."""
-    H = vp.ConvOperator2D(vp.gaussian_psf(9, 1.0), BATCH_SHAPE)
-    truth = vp.cartoon_image(BATCH_SHAPE)
-    observed = np.clip(
-        vp.degrade_synthetic(truth, H, "cauchy", seed=noise_seed), 0.0, 1.0)
-    return vp.CauchyDeblurProblem(H, observed, BATCH_SHAPE), truth, observed
-
-
-def batch_solve(vp, problem, observed):
-    """The ``minimize`` call of one ``cauchy_batch_32`` solve."""
-    return vp.minimize(problem, vp.SolverConfig(max_outer_iters=BATCH_ITERS),
-                       np.maximum(observed, 1e-3), metric="sg",
-                       steplength="ritz")
+SETUP_CALLS = run.SETUP_REPS  # set-ups timed per side and round
 
 
 def load_package(alias, checkout):
-    """Import ``<checkout>/src/vmprox`` as the package ``alias``."""
+    """Import ``<checkout>/src/vmprox`` as the package ``alias``, with the
+    ``cli`` and ``config`` modules that the benchmark's workloads use."""
     init = Path(checkout).resolve() / "src" / "vmprox" / "__init__.py"
     if not init.is_file():
         raise SystemExit(f"error: no src/vmprox package in {checkout}")
@@ -97,6 +78,7 @@ def load_package(alias, checkout):
     package = importlib.util.module_from_spec(spec)
     sys.modules[alias] = package
     spec.loader.exec_module(package)
+    importlib.import_module(f"{alias}.cli")
     return package
 
 
@@ -127,17 +109,16 @@ class PresetSide(Side):
 
     def __init__(self, name, alias, checkout, preset, max_iters, seed):
         super().__init__(name, alias, checkout)
-        self.config = importlib.import_module(f"{alias}.config")
         self.preset = Path(preset).resolve()
         self.max_iters = max_iters
         self.seed = seed
 
     def build(self):
         """The preset's config and ``build_problem``'s output for it."""
-        cfg = self.config.load_experiment(self.preset)
+        cfg = self.vp.config.load_experiment(self.preset)
         if self.seed is not None:
             cfg = dataclasses.replace(cfg, seed=self.seed)
-        return cfg, self.config.build_problem(cfg, self.preset.parent)
+        return cfg, self.vp.config.build_problem(cfg, self.preset.parent)
 
     def solve(self, timed):
         cfg, (problem, _, _, x0, _) = self.build()
@@ -157,39 +138,40 @@ class PresetSide(Side):
 
 
 class BatchSide(Side):
-    """Solves the eight ``cauchy_batch_32`` problems and keeps every solve."""
+    """Runs the benchmark's ``cauchy_batch_32`` workload at seed 1 and keeps
+    every solve, as ``vmbench/run.py`` keeps them."""
 
     def __init__(self, name, alias, checkout):
         super().__init__(name, alias, checkout)
+        self.workload = run.CauchyBatchWorkload()
+        self.workload.prepare(self.vp, None, 1)
         self.kept = []
 
     def build(self):
-        return [batch_problem(self.vp, seed) for seed in BATCH_NOISE_SEEDS]
+        self.workload.setup(self.vp)
 
     def solve(self, timed):
-        built = self.build()
         gc.collect()
-        elapsed = 0.0
-        final_f = []
-        for problem, truth, observed in built:
-            start = time.perf_counter()
-            result = batch_solve(self.vp, problem, observed)
-            elapsed += time.perf_counter() - start
-            self.kept.append((problem, truth, observed, result))
-            final_f.append(result.trace[-1].f_next)
+        solves = self.workload.run(self.vp, None)
+        for solve in solves:
+            if solve.failures:
+                raise SystemExit(f"error: a {self.name} solve failed: "
+                                 f"{solve.failures[0]}")
+        self.kept += solves
         if timed:
-            self.times.append(elapsed)
-            self.final_f.append(final_f)
+            self.times.append(sum(solve.solve_s for solve in solves))
+            self.final_f.append([solve.records[-1].f_next for solve in solves])
 
     def kept_bytes(self):
-        """Traced bytes that one more kept solve holds, over eight solves."""
+        """Traced bytes that one more kept solve holds, over the batch."""
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             self.solve(timed=False)
             gc.collect()
-            return (tracemalloc.get_traced_memory()[0] - before) / len(BATCH_NOISE_SEEDS)
+            return ((tracemalloc.get_traced_memory()[0] - before)
+                    / self.workload.solves)
         finally:
             tracemalloc.stop()
 
@@ -293,13 +275,15 @@ def main(argv=None):
         kept = {side.name: side.kept_bytes() for side in in_turn(sides, args.pairs)}
 
     if args.batch:
+        workload = sides[0].workload
         print(f"cauchy_batch_32: {args.pairs} pairs, first side alternating; "
-              f"a pair side sums {len(BATCH_NOISE_SEEDS)} solves of "
-              f"{BATCH_ITERS} iterations; each side keeps its solves")
+              f"a pair side sums {workload.solves} solves of "
+              f"{workload.iters} iterations; each side keeps its solves")
         print_times(sides, args.pairs, "kept_kb",
                     lambda side: f"{kept[side.name] / 1e3:.1f}")
-        print("kept_kb: traced kB that one more kept solve holds (problem, "
-              "truth, observed, result), mean over the eight")
+        print("kept_kb: traced kB that one more kept solve holds (vmbench's "
+              "Solve: problem, config, result, truth, observed), mean over "
+              "the eight")
         print(f"kept bytes per solve, repo/against "
               f"{kept['repo'] / kept['against']:.4f}")
         print_final_f(sides)
@@ -309,6 +293,7 @@ def main(argv=None):
     print(f"{args.preset.name}: {args.pairs} pairs, first side alternating; "
           f"noise seed {seed}; iterations per solve: "
           f"repo {len(traces['repo'])}, against {len(traces['against'])}")
+    # Record by record: a checkout before the columnar trace returns a list.
     inner = {name: (sum(r.inner_iters for r in trace) / len(trace) if trace
                     else float("nan")) for name, trace in traces.items()}
     print_times(sides, args.pairs, "inner",
